@@ -306,6 +306,8 @@ def load_manifest(path: str | Path) -> SplitManifest:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
     for key in ("name", "role", "patch_ids"):
         if key not in raw:
             raise ManifestError(f"manifest {path} missing field {key!r}")
@@ -313,7 +315,10 @@ def load_manifest(path: str | Path) -> SplitManifest:
         role = SplitRole(str(raw["role"]).lower())
     except ValueError:
         raise ManifestError(f"unknown manifest role {raw['role']!r}") from None
-    return SplitManifest(str(raw["name"]), role, tuple(str(p) for p in raw["patch_ids"]))
+    ids = raw["patch_ids"]
+    if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
+        raise ManifestError(f"manifest {path} field 'patch_ids' must be a list of strings")
+    return SplitManifest(str(raw["name"]), role, tuple(ids))
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path) -> None:

@@ -305,7 +305,12 @@ def kmeans_predict(model: KMeansModel, features: FeatureMatrix | np.ndarray) -> 
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat binary tree: feature[i] < 0 marks node i as a leaf."""
+    """Flat binary tree: feature[i] < 0 marks node i as a leaf.
+
+    Nodes are numbered in depth-first pre-order: a node, then its whole left
+    subtree, then its right subtree. An internal node sends a row left when
+    its feature value is <= the threshold.
+    """
 
     feature: np.ndarray    # int16, -1 for leaves
     threshold: np.ndarray  # float64, 0 for leaves
@@ -327,91 +332,169 @@ class ForestModel:
     seed: int
 
 
-def _leaf_probs(y: np.ndarray) -> np.ndarray:
-    counts = np.bincount(y, minlength=K_CLASSES + 1)[1:]
+# Cuts whose Gini proxy lies within this relative distance of the best proxy
+# are re-scored with the float formula that decides the split. The proxy
+# P = sum_c L_c^2/n_L + sum_c R_c^2/n_R is exact up to one rounding per
+# term (relative error < 1e-15), and the float weighted Gini equals
+# (n - P)/n up to an absolute error below 1e-14 (a few roundings of values
+# <= 1 over 10 classes). A cut outside the window has an exact weighted Gini
+# at least 1e-9 * P/n >= 1e-10 above the best (P >= n/10), which no float
+# error of 1e-14 can close, so the float argmin is always inside the window.
+_PROXY_RTOL = 1e-9
+
+
+def _leaf_probs(counts: np.ndarray) -> np.ndarray:
+    counts = counts[1:]
     return counts / counts.sum()
 
 
-def _best_split(X, y, idx, feature_order):
-    """Scan the candidate features for the lowest weighted Gini split.
+def _weighted_gini(left_cnt: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Weighted Gini impurity of cuts with k×10 float left class counts.
 
-    Returns (feature, threshold) or None when every candidate is constant.
-    Thresholds are midpoints between distinct neighbors, nudged down when
-    rounding would merge them with the upper value.
+    These float operations decide between near-equal cuts. The reference
+    grower in tests/rf_reference.py scores every cut with the same ones, in
+    the same order, so both pick the same cut bit for bit.
     """
-    n = len(idx)
-    best = None  # (gini, feature_rank, threshold)
-    y_node = y[idx]
-    for rank, f in enumerate(feature_order):
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        sy = y_node[order]
-        onehot = np.zeros((n, K_CLASSES), dtype=np.float64)
-        onehot[np.arange(n), sy - 1] = 1.0
-        cum = onehot.cumsum(axis=0)
-        left_n = np.arange(1, n, dtype=np.float64)
-        left_cnt = cum[:-1]
-        right_cnt = cum[-1] - left_cnt
-        right_n = n - left_n
-        gini_left = 1.0 - ((left_cnt / left_n[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_cnt / right_n[:, None]) ** 2).sum(axis=1)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        cut = sv[1:] != sv[:-1]
-        weighted = np.where(cut, weighted, np.inf)
-        pos = int(weighted.argmin())
-        if best is None or weighted[pos] < best[0]:
-            thr = 0.5 * (sv[pos] + sv[pos + 1])
-            if thr >= sv[pos + 1]:
-                thr = sv[pos]
-            best = (float(weighted[pos]), rank, f, float(thr))
-    if best is None:
+    n = int(total.sum())
+    left_n = left_cnt.sum(axis=1)
+    right_cnt = total - left_cnt
+    right_n = n - left_n
+    gini_left = 1.0 - ((left_cnt / left_n[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_cnt / right_n[:, None]) ** 2).sum(axis=1)
+    return (left_n * gini_left + right_n * gini_right) / n
+
+
+def _stable_order(ranks: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative int32 ranks.
+
+    numpy sorts 16-bit integers stably with a radix sort, so this sorts by
+    the low 16 bits, then stably by the high 16 bits when any are set.
+    """
+    order = np.argsort(ranks.astype(np.uint16), kind="stable")
+    if ranks.max() >> 16:
+        high = (ranks >> 16).astype(np.uint16).take(order)
+        order = order.take(np.argsort(high, kind="stable"))
+    return order
+
+
+def _presorted_split(ranks, labels, counts):
+    """Lowest weighted Gini cut of one node over its drawn features.
+
+    Row r of ``ranks`` and ``labels`` holds the value ranks and class ids of
+    the node's rows, sorted stably by drawn feature r; ``counts`` is the
+    node's class histogram. Cuts lie between distinct neighbors. They are
+    ranked by an integer-count proxy and the near-best ones re-scored in
+    float; ties go to the first cut, then the first drawn feature. Returns
+    (r, i), a cut after sorted element i of row r, or None when every drawn
+    feature is constant.
+    """
+    m, n = ranks.shape
+    cut = ranks[:, 1:] != ranks[:, :-1]
+    if not cut.any():
         return None
-    return best[2], best[3]
+    # Moving an element of class c to the left side raises sum_c L_c^2 by
+    # 2*L_c + 1, where L_c counts the earlier elements of class c in its row
+    # (its rank in a stable sort of the row by class), and raises
+    # sum_c T_c L_c by T_c. With T the node's class counts,
+    # sum_c R_c^2 = sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2.
+    by_class = np.argsort(labels, axis=1, kind="stable").astype(np.int32)
+    starts = np.cumsum(counts) - counts
+    class_sorted = np.repeat(np.arange(len(counts)), counts)
+    rise = np.empty((m, n), dtype=np.int32)
+    rise[np.arange(m)[:, None], by_class] = 2 * (np.arange(n) - starts[class_sorted]) + 1
+    left_sq = np.cumsum(rise, axis=1, dtype=np.int64)
+    del rise
+    right_sq = counts.take(labels)
+    np.cumsum(right_sq, axis=1, out=right_sq)
+    right_sq *= -2
+    right_sq += left_sq
+    right_sq += int(counts @ counts)
+    left_n = np.arange(1, n)
+    proxy = left_sq[:, :-1] / left_n
+    proxy += right_sq[:, :-1] / (n - left_n)
+    proxy[~cut] = -1.0
+    best = proxy.max()
+    cand = np.flatnonzero(proxy >= best - best * _PROXY_RTOL)
+    if len(cand) > 1:
+        # Left class counts of each candidate: binary search in the rows'
+        # class-sorted positions, keyed (row, class, position).
+        cand_row, cand_pos = np.divmod(cand, n - 1)
+        row_class = np.arange(m)[:, None] * len(counts) + class_sorted
+        keys = (row_class * n + by_class).ravel()
+        classes = np.arange(1, K_CLASSES + 1)
+        query = (cand_row[:, None] * len(counts) + classes) * n + cand_pos[:, None]
+        left_cnt = np.searchsorted(keys, query, side="right")
+        left_cnt -= cand_row[:, None] * n + starts[classes]
+        total = counts[1:].astype(np.float64)
+        cand = cand[[_weighted_gini(left_cnt.astype(np.float64), total).argmin()]]
+    return divmod(int(cand[0]), n - 1)
 
 
-def _grow_tree(X, y, idx, max_depth, m_try, rng):
+def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
+    """Grow one tree on the bootstrap sample ``boot`` of the training rows.
+
+    Training row i is row ``rows[i]`` of X, has class ``y[i]`` and value
+    rank ``ranks[f, i]`` in feature f. Every feature is sorted once, stably,
+    so each position list below is ordered by (value, bootstrap position);
+    a split partitions the lists stably, so a node sees the order a stable
+    sort of its own rows gives. An explicit stack visits nodes in pre-order:
+    numbering and generator draws follow the node order, and depth is not
+    bounded by recursion.
+    """
+    ranks = ranks[:, boot]
+    labels = y[boot]
+    d, n = ranks.shape
+    orders = np.empty((d, n), dtype=np.int32)
+    for f in range(d):
+        orders[f] = _stable_order(ranks[f])
+    goes_left = np.zeros(n, dtype=bool)
+
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     probs: list[np.ndarray] = []
-
-    d = X.shape[1]
     zero = np.zeros(K_CLASSES)
 
-    def new_node():
+    stack = [(orders, 0, -1, left)]  # (positions, depth, parent, parent's link)
+    while stack:
+        orders, depth, parent, link = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         probs.append(zero)
-        return len(feature) - 1
 
-    def build(idx, depth, node):
-        y_node = y[idx]
-        pure = y_node[0] == y_node[-1] and (y_node == y_node[0]).all()
-        if depth >= max_depth or len(idx) < 2 or pure:
-            probs[node] = _leaf_probs(y_node)
-            return
-        order = rng.choice(d, size=m_try, replace=False)
-        split = _best_split(X, y, idx, order)
+        counts = np.bincount(labels[orders[0]], minlength=K_CLASSES + 1)
+        split = None
+        if depth < max_depth and np.count_nonzero(counts) > 1:
+            drawn = rng.choice(d, size=m_try, replace=False)
+            sub = orders[drawn]
+            split = _presorted_split(ranks[drawn[:, None], sub], labels.take(sub), counts)
         if split is None:
-            probs[node] = _leaf_probs(y_node)
-            return
-        f, thr = split
-        go_left = X[idx, f] <= thr
+            probs[node] = _leaf_probs(counts)
+            continue
+        row, pos = split
+        f = int(drawn[row])
+        lo, hi = (float(X[rows[boot[p]], f]) for p in sub[row, pos : pos + 2])
+        thr = 0.5 * (lo + hi)
+        if thr >= hi:  # rounding merged the midpoint into the upper value
+            thr = lo
         feature[node] = f
         threshold[node] = thr
-        left[node] = new_node()
-        build(idx[go_left], depth + 1, left[node])
-        right[node] = new_node()
-        build(idx[~go_left], depth + 1, right[node])
+        to_left = sub[row, : pos + 1]
+        goes_left[to_left] = True
+        # Flat boolean selection keeps each row's order and is several
+        # times faster than indexing the 2-D array with a 2-D mask.
+        side = goes_left.take(orders).ravel()
+        goes_left[to_left] = False
+        flat = orders.ravel()
+        stack.append((flat[~side].reshape(d, -1), depth + 1, node, right))
+        stack.append((flat[side].reshape(d, pos + 1), depth + 1, node, left))
 
-    root = new_node()
-    build(idx, 0, root)
     return Tree(
         feature=np.array(feature, dtype=np.int16),
         threshold=np.array(threshold, dtype=np.float64),
@@ -433,14 +516,25 @@ def rf_fit(
 
     Each tree sees a same-size bootstrap sample and draws ceil(sqrt(d))
     candidate features per node from its own derived generator, so results
-    do not depend on any execution order.
+    do not depend on any execution order. Split search is exact: each tree
+    sorts every feature once and partitions the sorted orders at each split,
+    and a node takes the lowest weighted Gini cut over its drawn features
+    (first cut, then first drawn feature, on ties). The threshold is the
+    midpoint between the two values the cut separates. A node becomes a leaf
+    at max_depth, when it is pure, or when its drawn features are constant.
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if isinstance(features, FeatureMatrix):
         base_mask = features.valid_mask.copy()
         X_all = features.values
     else:
         X_all = np.asarray(features, dtype=np.float64)
         base_mask = np.ones(len(X_all), dtype=bool)
+    if X_all.ndim != 2 or X_all.shape[1] < 1:
+        raise ValueError(f"expected N×d features with d >= 1, got shape {X_all.shape}")
     labels = np.asarray(labels).ravel()
     if len(labels) != len(X_all):
         raise ValueError("labels length must match feature rows")
@@ -450,23 +544,32 @@ def rf_fit(
     if not base_mask.any():
         raise ValueError("no valid labeled pixels to train on")
 
-    X = np.ascontiguousarray(X_all[base_mask], dtype=np.float64)
-    y = labels[base_mask].astype(np.int64)
-    if (y > K_CLASSES).any():
+    rows = np.flatnonzero(base_mask)
+    y = labels[rows]
+    if ((y < 1) | (y > K_CLASSES)).any():
         raise ValueError("labels must be simplified class ids 1..10")
+    y = y.astype(np.uint8)
+    # Equal values share a rank, so sorting ranks sorts values; the ranks
+    # fit 32 bits and sort by 16-bit radix passes in every tree.
+    n, d = len(rows), X_all.shape[1]
+    ranks = np.empty((d, n), dtype=np.int32)
+    for f in range(d):
+        column = X_all[rows, f]
+        if np.isnan(column).any():
+            raise ValueError("training features must not be NaN")
+        ranks[f] = np.unique(column, return_inverse=True)[1]
 
-    n = len(X)
-    m_try = math.ceil(math.sqrt(X.shape[1]))
+    m_try = math.ceil(math.sqrt(d))
     trees = []
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, boot, max_depth, m_try, rng))
+        trees.append(_grow_tree(X_all, rows, ranks, y, boot, max_depth, m_try, rng))
     return ForestModel(
         trees=tuple(trees),
         n_trees=n_trees,
         max_depth=max_depth,
-        n_features=X.shape[1],
+        n_features=d,
         seed=seed,
     )
 

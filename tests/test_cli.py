@@ -304,6 +304,39 @@ def test_missing_manifest_is_runtime_error(tmp_path, capsys):
     assert "error" in single_json_error(err)
 
 
+@pytest.mark.parametrize("patch_ids", [5, "abc"])
+def test_manifest_patch_ids_must_be_a_list_of_strings(
+    split_dir, tmp_path, capsys, patch_ids
+):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"name": "bad", "role": "train", "patch_ids": patch_ids})
+    )
+    code, out, err = run(
+        capsys, "stats", "--manifest", str(manifest), "--data-dir", str(split_dir)
+    )
+    assert code == 1
+    assert out == ""
+    assert "list of strings" in single_json_error(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "flags, message", [(["--trees", "0"], "n_trees"), (["--depth", "-1"], "max_depth")]
+)
+def test_train_rejects_bad_forest_hyperparameters(
+    split_dir, tmp_path, capsys, flags, message
+):
+    path = tmp_path / "rf.wlcm"
+    code, out, err = run(
+        capsys, "train", *split_args(split_dir), "--model", "rf", *flags,
+        "--out", str(path),
+    )
+    assert code == 1
+    assert out == ""
+    assert message in single_json_error(err)["error"]
+    assert not path.exists()
+
+
 def test_oversized_subsample_fails(split_dir, capsys):
     code, _, err = run(
         capsys, "stats", *split_args(split_dir), "--subsample", "99"

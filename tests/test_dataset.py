@@ -198,7 +198,10 @@ def test_manifest_duplicate_ids_rejected():
         SplitManifest("d", SplitRole.TRAIN, ("a", "a"))
 
 
-@pytest.mark.parametrize("doc", [{}, {"name": "x", "role": "train"}, {"name": "x", "role": "nope", "patch_ids": []}])
+@pytest.mark.parametrize("doc", [
+    {}, {"name": "x", "role": "train"}, {"name": "x", "role": "nope", "patch_ids": []},
+    [], {"name": "x", "role": "train", "patch_ids": [1, 2]},
+])
 def test_manifest_bad_documents(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

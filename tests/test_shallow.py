@@ -1,6 +1,7 @@
 """Assignment solver, cluster alignment, k-means, and the random forest."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from wlcbench.shallow import (
     rf_predict_proba,
     tree_apply,
 )
+from wlcbench.shallow import _stable_order
+from rf_reference import reference_trees
 
 
 def assignment_oracle(cost):
@@ -447,3 +450,105 @@ def test_rf_predict_dimension_check(rng):
     model = rf_fit(X, y, n_trees=1, max_depth=1, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         rf_predict(model, rng.random((5, 2)))
+
+
+def test_rf_validates_hyperparameters(rng):
+    X = rng.random((20, 2))
+    y = np.ones(20, dtype=np.uint8)
+    with pytest.raises(ValueError, match="n_trees"):
+        rf_fit(X, y, n_trees=0)
+    with pytest.raises(ValueError, match="max_depth"):
+        rf_fit(X, y, n_trees=1, max_depth=-1)
+    with pytest.raises(ValueError, match="1..10"):
+        rf_fit(X, np.full(20, -1), n_trees=1)
+    with pytest.raises(ValueError, match="d >= 1"):
+        rf_fit(np.zeros((20, 0)), y, n_trees=1)
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        rf_fit(X, y, n_trees=1)
+
+
+def tree_depth(tree):
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for node in range(tree.n_nodes):
+        if tree.feature[node] >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+def test_rf_grows_trees_deeper_than_the_recursion_limit():
+    # Alternating pure groups of 30 equal rows on one feature: peeling off
+    # an end group is the best split by a wide margin, also after bootstrap
+    # resampling, so the tree is a chain with one level per group.
+    groups = sys.getrecursionlimit() + 100
+    X = np.repeat(np.arange(groups, dtype=np.float64), 30)[:, None]
+    y = np.repeat(1 + np.arange(groups) % 2, 30)
+    (tree,) = rf_fit(X, y, n_trees=1, max_depth=10 * groups, seed=0).trees
+    assert tree_depth(tree) > sys.getrecursionlimit()
+    np.testing.assert_array_equal(rf_predict(ForestModel((tree,), 1, 0, 1, 0), X), y)
+
+
+def test_stable_order_matches_stable_argsort(rng):
+    for high in (5, 1 << 16, 1 << 20, (1 << 31) - 1):
+        ranks = rng.integers(0, high, 5000).astype(np.int32)
+        ranks[::7] = ranks[0]  # ties must keep position order
+        np.testing.assert_array_equal(
+            _stable_order(ranks), np.argsort(ranks, kind="stable")
+        )
+
+
+# Few levels, so ties are everywhere. -0.0 and 0.0 compare equal; between
+# the floats after 1.0 the midpoint rounds onto the upper value.
+_ONE_UP = float(np.nextafter(1.0, 2.0))
+_LEVELS = (-2.0, -0.0, 0.0, 0.5, 1.0, _ONE_UP, float(np.nextafter(_ONE_UP, 2.0)), 7.0)
+
+
+@st.composite
+def tie_heavy_training_sets(draw):
+    d = draw(st.integers(1, 5))
+    pools = [
+        draw(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=3))
+        for _ in range(d)
+    ]
+    n_distinct = draw(st.integers(1, 12))
+    rows = np.array(
+        [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n_distinct)]
+    )
+    pick = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=40))
+    classes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True))
+    y = draw(
+        st.lists(st.sampled_from(classes), min_size=len(pick), max_size=len(pick))
+    )
+    return rows[pick], np.array(y, dtype=np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=tie_heavy_training_sets(),
+    max_depth=st.integers(0, 6),
+    n_trees=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rf_fit_matches_the_per_node_sorting_reference(data, max_depth, n_trees, seed):
+    X, y = data
+    model = rf_fit(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    reference = reference_trees(X, y, n_trees, max_depth, seed)
+    assert len(model.trees) == len(reference)
+    for tree, ref in zip(model.trees, reference):
+        fields = (tree.feature, tree.threshold, tree.left, tree.right, tree.probs)
+        for got, want in zip(fields, ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data_seed", [379, 455, 826])
+def test_rf_resolves_exact_proxy_ties_in_float_like_the_reference(data_seed):
+    # On these inputs the root has cuts with equal integer Gini proxies
+    # whose float scores differ in the last bits; the float score decides.
+    g = np.random.default_rng(data_seed)
+    X = g.integers(0, 5, (30, 2)).astype(np.float64)
+    y = np.where(g.random(30) < 0.5, 2, 9)
+    (tree,) = rf_fit(X, y, n_trees=1, max_depth=1, seed=0).trees
+    (ref,) = reference_trees(X, y, 1, 1, 0)
+    assert tree.feature.tobytes() == ref[0].tobytes()
+    assert tree.threshold.tobytes() == ref[1].tobytes()
