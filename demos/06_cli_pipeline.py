@@ -8,6 +8,7 @@ This script shells out exactly as a user would:
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,11 +16,19 @@ from pathlib import Path
 
 root = Path(tempfile.mkdtemp(prefix="wlcbench-demo6-"))
 
+# The commands run inside `root`, so hand them this checkout's src/ by its
+# absolute path; an installed package or a relative PYTHONPATH is not needed.
+src = Path(__file__).resolve().parent.parent / "src"
+env = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+}
+
 
 def wlcbench(*argv):
     cmd = [sys.executable, "-m", "wlcbench.cli", *map(str, argv)]
     print(f"$ wlcbench {' '.join(map(str, argv))}")
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root, env=env)
     if proc.returncode != 0:
         sys.exit(f"command failed ({proc.returncode}): {proc.stderr.strip()}")
     doc = json.loads(proc.stdout.splitlines()[-1])

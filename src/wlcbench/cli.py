@@ -168,7 +168,26 @@ def _train_mask(labels_vec: np.ndarray, mask_savanna: bool) -> np.ndarray:
     return keep
 
 
+def _check_train_flags(args) -> None:
+    """Refuse, before any data is read, hyperparameters that would leave an
+    untrained model or that the model file cannot hold."""
+    if args.model == "kmeans":
+        k = {} if args.k is None else {"k": args.k}
+        modelio.check_fields(shallow.KMeansModel, seed=args.seed, **k)
+    elif args.model == "rf":
+        modelio.check_fields(
+            shallow.ForestModel, n_trees=args.trees, max_depth=args.depth, seed=args.seed
+        )
+    else:
+        if args.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {args.epochs}")
+        modelio.check_fields(
+            LogRegModel, learning_rate=args.lr, epochs=args.epochs, seed=args.seed
+        )
+
+
 def cmd_train(args) -> int:
+    _check_train_flags(args)
     _, patches = _load_split(args)
     fusion = FusionConfig.from_string(args.fusion)
     feats, lab = _features_and_labels(patches, fusion)

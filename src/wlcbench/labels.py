@@ -150,7 +150,6 @@ def block_class_counts(values: np.ndarray, factor: int, n_ids: int | None = None
     blocks = blocks.reshape(bh * bw, factor * factor)
     if n_ids is None:
         n_ids = int(values.max()) + 1 if values.size else 1
-    counts = np.zeros((bh * bw, n_ids), dtype=np.int64)
-    rows = np.repeat(np.arange(bh * bw), factor * factor)
-    np.add.at(counts, (rows, blocks.ravel()), 1)
-    return counts.reshape(bh, bw, n_ids)
+    rows = np.repeat(np.arange(bh * bw, dtype=np.int64), factor * factor)
+    counts = np.bincount(rows * n_ids + blocks.ravel(), minlength=bh * bw * n_ids)
+    return counts.astype(np.int64, copy=False).reshape(bh, bw, n_ids)

@@ -26,6 +26,24 @@ KIND_LOGREG = 3
 
 _K = 10  # simplified classes; probs/weights columns
 
+# Fixed header of each kind's payload, in file order: (field, struct code).
+_HEADERS = {
+    KIND_KMEANS: (
+        ("k", "I"), ("d", "I"), ("n_init", "I"), ("max_iter", "I"),
+        ("seed", "q"), ("inertia", "f"),
+    ),
+    KIND_FOREST: (("n_trees", "I"), ("max_depth", "I"), ("n_features", "I"), ("seed", "q")),
+    KIND_LOGREG: (
+        ("d", "I"), ("learning_rate", "f"), ("batch_size", "I"), ("epochs", "I"),
+        ("seed", "q"), ("best_epoch", "i"),
+    ),
+}
+_FIELD_RANGE = {"I": "u32, 0..4294967295", "i": "i32", "q": "i64", "f": "float32"}
+
+
+def _header_format(kind: int) -> str:
+    return "".join(code for _, code in _HEADERS[kind])
+
 
 class ModelIOError(ValueError):
     """Raised for malformed or truncated model files."""
@@ -67,7 +85,7 @@ def _f32(arr: np.ndarray) -> bytes:
 def _kmeans_payload(model: KMeansModel) -> bytes:
     parts = [
         struct.pack(
-            "<IIIIqf",
+            "<" + _header_format(KIND_KMEANS),
             model.k,
             model.d,
             model.n_init,
@@ -87,7 +105,7 @@ def _kmeans_payload(model: KMeansModel) -> bytes:
 
 
 def _kmeans_from(r: _Reader) -> KMeansModel:
-    k, d, n_init, max_iter, seed, inertia = r.unpack("IIIIqf")
+    k, d, n_init, max_iter, seed, inertia = r.unpack(_header_format(KIND_KMEANS))
     (has_map,) = r.unpack("B")
     class_of = r.array("u1", k)
     centroids = r.array("<f4", k * d).astype(np.float64).reshape(k, d)
@@ -106,7 +124,13 @@ def _kmeans_from(r: _Reader) -> KMeansModel:
 
 def _forest_payload(model: ForestModel) -> bytes:
     parts = [
-        struct.pack("<IIIq", model.n_trees, model.max_depth, model.n_features, model.seed)
+        struct.pack(
+            "<" + _header_format(KIND_FOREST),
+            model.n_trees,
+            model.max_depth,
+            model.n_features,
+            model.seed,
+        )
     ]
     for tree in model.trees:
         parts.append(struct.pack("<I", tree.n_nodes))
@@ -119,7 +143,7 @@ def _forest_payload(model: ForestModel) -> bytes:
 
 
 def _forest_from(r: _Reader) -> ForestModel:
-    n_trees, max_depth, n_features, seed = r.unpack("IIIq")
+    n_trees, max_depth, n_features, seed = r.unpack(_header_format(KIND_FOREST))
     trees = []
     for _ in range(n_trees):
         (n_nodes,) = r.unpack("I")
@@ -146,7 +170,7 @@ def _logreg_payload(model: LogRegModel) -> bytes:
     return b"".join(
         [
             struct.pack(
-                "<IfIIqi",
+                "<" + _header_format(KIND_LOGREG),
                 model.d,
                 cfg.learning_rate,
                 cfg.batch_size,
@@ -161,7 +185,7 @@ def _logreg_payload(model: LogRegModel) -> bytes:
 
 
 def _logreg_from(r: _Reader) -> LogRegModel:
-    d, lr, batch, epochs, seed, best = r.unpack("IfIIqi")
+    d, lr, batch, epochs, seed, best = r.unpack(_header_format(KIND_LOGREG))
     weights = r.array("<f4", d * _K).astype(np.float64).reshape(d, _K)
     bias = r.array("<f4", _K).astype(np.float64)
     return LogRegModel(
@@ -177,6 +201,21 @@ def _logreg_from(r: _Reader) -> LogRegModel:
 AnyModel = KMeansModel | ForestModel | LogRegModel
 
 _KIND_OF = {KMeansModel: KIND_KMEANS, ForestModel: KIND_FOREST, LogRegModel: KIND_LOGREG}
+
+
+def check_fields(model_type: type, **values) -> None:
+    """Raise ValueError unless each value fits the header field of that name
+    in ``model_type``'s files, so a command can refuse a hyperparameter
+    before fitting instead of failing to save the fitted model."""
+    codes = dict(_HEADERS[_KIND_OF[model_type]])
+    for name, value in values.items():
+        try:
+            struct.pack("<" + codes[name], value)
+        except (struct.error, OverflowError):
+            raise ValueError(
+                f"{name}={value!r} does not fit the model file's "
+                f"{_FIELD_RANGE[codes[name]]} field"
+            ) from None
 
 
 def model_to_bytes(model: AnyModel) -> bytes:

@@ -164,19 +164,37 @@ class KMeansModel:
         return self.centroids.shape[1]
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked nearest-centroid search; ties break to the lowest cluster id."""
+def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row terms of the distance formula: 2X and the squared row norms."""
+    return 2.0 * X, (X * X).sum(axis=1)
+
+
+def _nearest(
+    X: np.ndarray,
+    centroids: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunked nearest-centroid search; ties break to the lowest cluster id.
+
+    Squared distances are (|x|² - 2x·c) + |c|², clamped at 0, evaluated in
+    place in the one rows×k product of each chunk. ``terms`` is
+    ``_row_terms(X)`` when the caller holds it for all of X (``kmeans_fit``
+    shares it between seedings); otherwise each chunk computes its own.
+    """
     n = X.shape[0]
     labels = np.empty(n, dtype=np.int32)
     d2 = np.empty(n, dtype=np.float64)
     c2 = (centroids * centroids).sum(axis=1)
     for start in range(0, n, _ASSIGN_CHUNK):
-        block = X[start : start + _ASSIGN_CHUNK]
-        dist = (block * block).sum(axis=1)[:, None] - 2.0 * block @ centroids.T + c2
+        rows = slice(start, start + _ASSIGN_CHUNK)
+        twice, x2 = _row_terms(X[rows]) if terms is None else (terms[0][rows], terms[1][rows])
+        dist = twice @ centroids.T
+        np.subtract(x2[:, None], dist, out=dist)
+        dist += c2
         np.maximum(dist, 0.0, out=dist)
         idx = dist.argmin(axis=1)
-        labels[start : start + _ASSIGN_CHUNK] = idx
-        d2[start : start + _ASSIGN_CHUNK] = dist[np.arange(len(block)), idx]
+        labels[rows] = idx
+        d2[rows] = np.take_along_axis(dist, idx[:, None], axis=1)[:, 0]
     return labels, d2
 
 
@@ -198,13 +216,18 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _lloyd(X, centroids, max_iter):
-    """Lloyd iterations from the given seeding; returns (centroids, inertia, history)."""
+def _lloyd(X, centroids, max_iter, terms):
+    """Lloyd iterations from the given seeding; returns (centroids, inertia, history).
+
+    ``terms`` is ``_row_terms(X)``. Cluster sums come from one weighted
+    bincount per feature, which adds each cluster's rows in row order, as a
+    sequential loop would.
+    """
     k = centroids.shape[0]
     history: list[float] = []
     labels = None
     for _ in range(max_iter):
-        new_labels, d2 = _nearest(X, centroids)
+        new_labels, d2 = _nearest(X, centroids, terms)
         inertia = float(d2.sum())
         if history and inertia > history[-1] * (1.0 + _INERTIA_SLACK) + _INERTIA_SLACK:
             raise AssertionError(
@@ -214,8 +237,9 @@ def _lloyd(X, centroids, max_iter):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, X)
+        sums = np.stack(
+            [np.bincount(labels, weights=column, minlength=k) for column in X.T], axis=1
+        )
         sizes = np.bincount(labels, minlength=k).astype(np.float64)
         empty = sizes == 0
         nonzero = ~empty
@@ -243,22 +267,28 @@ def kmeans_fit(
     to max_iter iterations; the lowest-inertia run wins (ties to the earliest).
 
     Operates on the valid rows of the feature matrix. Raises if the data has
-    fewer than k distinct rows.
+    fewer than k distinct rows. The row norms and 2X of the distance formula
+    are computed once here and shared by every seeding.
     """
     X = features.valid_values() if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if X.ndim != 2:
         raise ValueError(f"expected N×d features, got shape {X.shape}")
     if np.unique(X, axis=0).shape[0] < k:
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
+    terms = _row_terms(X)
     streams = np.random.SeedSequence(seed).spawn(n_init)
     best: tuple[float, int, np.ndarray, tuple[float, ...]] | None = None
     for run, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         centroids = _kmeanspp_init(X, k, rng)
-        centroids, inertia, history = _lloyd(X, centroids, max_iter)
+        centroids, inertia, history = _lloyd(X, centroids, max_iter, terms)
         if best is None or inertia < best[0]:
             best = (inertia, run, centroids, history)
     assert best is not None

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from wlcbench import cli
 from wlcbench.cli import main
 from wlcbench.dataset import Scheme, iter_patches, load_manifest
 from wlcbench.modelio import load_model
@@ -335,6 +336,50 @@ def test_train_rejects_bad_forest_hyperparameters(
     assert out == ""
     assert message in single_json_error(err)["error"]
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "rf", "--depth", str(2**32)], "max_depth"),
+        (["--model", "rf", "--trees", str(2**32)], "n_trees"),
+        (["--model", "rf", "--seed", str(2**63)], "seed"),
+        (["--model", "kmeans", "--seed", str(2**63)], "seed"),
+        (["--model", "kmeans", "--k", str(2**32)], "k="),
+        (["--model", "logreg", "--epochs", "0"], "epochs"),
+        (["--model", "logreg", "--epochs", str(2**32)], "epochs"),
+        (["--model", "logreg", "--lr", "1e39"], "learning_rate"),
+        (["--model", "logreg", "--seed", str(2**63)], "seed"),
+    ],
+)
+def test_train_refuses_unsavable_hyperparameters_before_fitting(
+    split_dir, tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitting started")
+
+    for name in ("kmeans_fit", "rf_fit"):
+        monkeypatch.setattr(cli.shallow, name, no_fit)
+    monkeypatch.setattr(cli, "logreg_fit", no_fit)
+    path = tmp_path / "m.wlcm"
+    code, out, err = run(
+        capsys, "train", *split_args(split_dir), *flags, "--out", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert message in single_json_error(err)["error"]
+    assert not path.exists()
+
+
+def test_train_accepts_the_widest_savable_values(split_dir, tmp_path, capsys):
+    path = tmp_path / "rf.wlcm"
+    code, _, _ = run(
+        capsys, "train", *split_args(split_dir), "--model", "rf", "--trees", "1",
+        "--depth", str(2**32 - 1), "--seed", str(2**63 - 1), "--out", str(path),
+    )
+    assert code == 0
+    model = load_model(path)
+    assert (model.max_depth, model.seed) == (2**32 - 1, 2**63 - 1)
 
 
 def test_oversized_subsample_fails(split_dir, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from wlcbench.shallow import (
     rf_predict_proba,
     tree_apply,
 )
-from wlcbench.shallow import _stable_order
+from wlcbench import shallow
+from wlcbench.shallow import _lloyd, _row_terms, _stable_order
+import kmeans_reference
+from kmeans_reference import reference_kmeans, reference_lloyd, reference_nearest
 from rf_reference import reference_trees
 
 
@@ -264,6 +268,31 @@ def test_kmeans_requires_k_distinct_rows():
         kmeans_fit(X, k=2)
     with pytest.raises(ValueError, match="k must be"):
         kmeans_fit(np.random.default_rng(0).random((4, 2)), k=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message", [({"n_init": 0}, "n_init"), ({"max_iter": 0}, "max_iter")]
+)
+def test_kmeans_validates_hyperparameters(rng, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        kmeans_fit(rng.random((10, 2)), k=2, **kwargs)
+
+
+def test_lloyd_relocates_empty_clusters_to_the_farthest_rows():
+    X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [30.0]])
+    # Clusters 2 and 3 lie beyond every row, so the first pass leaves both
+    # empty. Row 5 (30.0) is farthest from its centroid (10.5), row 2 (2.0)
+    # next (from 0.5).
+    seeding = np.array([[0.5], [10.5], [1000.0], [2000.0]])
+    centroids, _, _ = _lloyd(X, seeding[:3], 1, _row_terms(X))
+    np.testing.assert_array_equal(centroids, [[1.0], [17.0], [30.0]])
+    centroids, _, _ = _lloyd(X, seeding, 1, _row_terms(X))
+    np.testing.assert_array_equal(centroids, [[1.0], [17.0], [30.0], [2.0]])
+    for init in (seeding[:3], seeding):
+        got = _lloyd(X, init, 300, _row_terms(X))
+        want = reference_lloyd(X, init, 300)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
 
 def test_kmeans_fit_uses_only_valid_rows(rng):
@@ -552,3 +581,75 @@ def test_rf_resolves_exact_proxy_ties_in_float_like_the_reference(data_seed):
     (ref,) = reference_trees(X, y, 1, 1, 0)
     assert tree.feature.tobytes() == ref[0].tobytes()
     assert tree.threshold.tobytes() == ref[1].tobytes()
+
+
+# Few value levels, duplicate rows and constant columns. -0.0 and 0.0
+# compare equal but can leave different bits in a sum.
+_KM_LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0, _ONE_UP, 3.0)
+
+
+@st.composite
+def tie_heavy_rows(draw):
+    d = draw(st.integers(1, 4))
+    pools = [
+        draw(st.lists(st.sampled_from(_KM_LEVELS), min_size=1, max_size=3))
+        for _ in range(d)
+    ]
+    n_distinct = draw(st.integers(1, 10))
+    rows = np.array(
+        [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n_distinct)]
+    )
+    pick = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=40))
+    return rows[pick]
+
+
+def _same_fit(got, want):
+    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [v.hex() for v in (got[1], *got[2])] == [v.hex() for v in (want[1], *want[2])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    X=tie_heavy_rows(),
+    data=st.data(),
+    n_init=st.integers(1, 3),
+    max_iter=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 3, 7, shallow._ASSIGN_CHUNK]),
+)
+def test_kmeans_fit_matches_the_add_at_reference(X, data, n_init, max_iter, seed, chunk):
+    k = data.draw(st.integers(1, len(np.unique(X, axis=0))), label="k")
+    with mock.patch.object(shallow, "_ASSIGN_CHUNK", chunk), mock.patch.object(
+        kmeans_reference, "ASSIGN_CHUNK", chunk
+    ):
+        model = kmeans_fit(X, k, n_init=n_init, max_iter=max_iter, seed=seed)
+        want = reference_kmeans(X, k, n_init, max_iter, seed)
+    _same_fit((model.centroids, model.inertia, model.inertia_history), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=tie_heavy_rows(), data=st.data(), max_iter=st.integers(1, 20))
+def test_lloyd_matches_the_add_at_reference_from_any_seeding(X, data, max_iter):
+    # Seedings drawn from the levels and beyond them, duplicates allowed: a
+    # duplicate centroid or one past every row starts empty and is relocated.
+    k = data.draw(st.integers(1, 5), label="k")
+    levels = st.sampled_from(_KM_LEVELS + (-50.0, 50.0))
+    seeding = np.array(
+        data.draw(st.lists(st.lists(levels, min_size=X.shape[1], max_size=X.shape[1]),
+                           min_size=k, max_size=k), label="seeding")
+    )
+    got = _lloyd(X, seeding, max_iter, _row_terms(X))
+    _same_fit(got, reference_lloyd(X, seeding, max_iter))
+
+
+def test_kmeans_cluster_ids_match_the_reference_across_chunks(rng, monkeypatch):
+    X = rng.integers(0, 4, (50, 3)) / 4.0
+    model = kmeans_fit(X, k=5, n_init=2, seed=3)
+    for chunk in (1, 7, 49, 50):
+        monkeypatch.setattr(shallow, "_ASSIGN_CHUNK", chunk)
+        monkeypatch.setattr(kmeans_reference, "ASSIGN_CHUNK", chunk)
+        want, _ = reference_nearest(X, model.centroids)
+        got = kmeans_cluster_ids(model, X)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
