@@ -9,6 +9,7 @@ exit 1 for data and runtime errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .dataset import (
     subsample_manifest,
     write_patch,
 )
-from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, simplify_igbp
+from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
 from .maskedlr import LogRegConfig, LogRegModel, logreg_fit, logreg_predict
 from .preprocess import FeatureMatrix, FusionConfig, assemble_features
 from .render import render_labels
@@ -55,6 +56,16 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
+def _seed(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _emit(doc: dict) -> None:
     print(json.dumps(doc))
 
@@ -63,24 +74,15 @@ def _emit(doc: dict) -> None:
 # shared data loading
 # ---------------------------------------------------------------------------
 
-def _with_simplified_lr(patch: Patch) -> Patch:
-    if patch.lr_labels.scheme is Scheme.IGBP17:
-        return Patch(
-            id=patch.id,
-            s2=patch.s2,
-            lr_labels=simplify_igbp(patch.lr_labels),
-            s1=patch.s1,
-            hr_labels=patch.hr_labels,
-        )
-    return patch
-
-
 def _load_split(args) -> tuple[SplitManifest, list[Patch]]:
     """Manifest plus its patches, LR labels simplified to the 10-class scheme."""
     manifest = load_manifest(args.manifest)
     if getattr(args, "subsample", None) is not None:
         manifest = subsample_manifest(manifest, args.subsample, args.seed)
-    patches = [_with_simplified_lr(p) for p in iter_patches(manifest, args.data_dir)]
+    patches = [
+        dataclasses.replace(p, lr_labels=as_simplified(p.lr_labels))
+        for p in iter_patches(manifest, args.data_dir)
+    ]
     if not patches:
         raise ValueError(f"manifest {manifest.name!r} lists no patches")
     return manifest, patches
@@ -219,7 +221,7 @@ def cmd_train(args) -> int:
         curve = "epoch,loss,holdout_aa\n" + "".join(
             f"{i},{v!r},\n" for i, v in enumerate(model.loss_curve)
         )
-        summary.update(epochs=args.epochs, final_loss=model.loss_curve[-1] if model.loss_curve else None)
+        summary.update(epochs=args.epochs, final_loss=model.loss_curve[-1])
 
     modelio.save_model(model, args.out)
     curve_path = f"{args.out}.curve.csv"
@@ -231,19 +233,11 @@ def cmd_train(args) -> int:
 
 def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarray:
     if isinstance(model, shallow.KMeansModel):
-        if feats.d != model.d:
-            raise ValueError(f"model expects d={model.d}, features have d={feats.d}")
         return shallow.kmeans_predict(model, feats)
     if isinstance(model, shallow.ForestModel):
-        if feats.d != model.n_features:
-            raise ValueError(
-                f"model expects d={model.n_features}, features have d={feats.d}"
-            )
         return shallow.rf_predict(model, feats)
-    if isinstance(model, LogRegModel):
-        exclude = frozenset({SAVANNA}) if mask_savanna else frozenset()
-        return logreg_predict(model, feats, exclude_classes=exclude)
-    raise ValueError(f"unsupported model type {type(model).__name__}")
+    exclude = frozenset({SAVANNA}) if mask_savanna else frozenset()
+    return logreg_predict(model, feats, exclude_classes=exclude)
 
 
 def cmd_predict(args) -> int:
@@ -258,16 +252,7 @@ def cmd_predict(args) -> int:
         raster = LabelRaster(
             pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10
         )
-        write_patch(
-            Patch(
-                id=patch.id,
-                s2=patch.s2,
-                lr_labels=raster,
-                s1=patch.s1,
-                hr_labels=patch.hr_labels,
-            ),
-            out / f"{patch.id}.wlcb",
-        )
+        write_patch(dataclasses.replace(patch, lr_labels=raster), out / f"{patch.id}.wlcb")
     save_manifest(
         SplitManifest(f"{manifest.name}-pred", manifest.role, manifest.patch_ids),
         out / "manifest.json",
@@ -341,7 +326,7 @@ def _add_split_flags(p: _Parser) -> None:
         metavar="N",
         help="subsample N patches from the manifest (seeded by --seed)",
     )
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=_seed, default=0, metavar="N")
 
 
 def _add_mask_flag(p: _Parser) -> None:
@@ -363,7 +348,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic benchmark split")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-scenes", type=int, default=16, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=_seed, default=0, metavar="N")
     p.add_argument("--size", type=int, default=128, metavar="N")
     p.add_argument("--block-factor", type=int, default=16, metavar="N")
     p.add_argument("--sigma", type=float, default=0.02, metavar="F")

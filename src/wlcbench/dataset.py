@@ -291,10 +291,6 @@ class SplitManifest:
         if len(set(self.patch_ids)) != len(self.patch_ids):
             raise ManifestError(f"duplicate patch ids in manifest {self.name!r}")
 
-    @property
-    def declared_size(self) -> int:
-        return len(self.patch_ids)
-
     def __len__(self) -> int:
         return len(self.patch_ids)
 
@@ -381,7 +377,7 @@ def class_histogram(patches: Sequence[Patch] | Iterable[Patch], which: str = "lr
     n_patches = 0
     for patch in patches:
         vals = _require_simplified(_labels_of(patch, which), patch.id)
-        counts += np.bincount(vals.ravel(), minlength=11)[1:].astype(np.int64)
+        counts += np.bincount(vals.ravel(), minlength=N_SIMPLIFIED_CLASSES + 1)[1:].astype(np.int64)
         n_patches += 1
     if n_patches == 0:
         raise ValueError("class_histogram needs at least one patch")

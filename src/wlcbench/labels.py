@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import AbstractSet
 
 import numpy as np
@@ -48,39 +46,6 @@ class SchemeError(ValueError):
     """Raised when an operation receives a raster under the wrong scheme."""
 
 
-@dataclass(frozen=True)
-class SchemeMap:
-    """The 17->10 class aggregation with display names and palette colors."""
-
-    table: tuple[int, ...]
-    class_names: tuple[str, ...]
-    palette: tuple[str, ...]
-
-    def to_json(self) -> str:
-        doc = {
-            "igbp_to_simplified": {str(i): int(self.table[i]) for i in range(1, 18)},
-            "classes": [
-                {"id": i + 1, "name": self.class_names[i], "color": self.palette[i]}
-                for i in range(10)
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
-    @property
-    def rgb_palette(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            (int(c[0:2], 16), int(c[2:4], 16), int(c[4:6], 16)) for c in self.palette
-        )
-
-
-def default_scheme_map() -> SchemeMap:
-    return SchemeMap(
-        table=tuple(int(v) for v in IGBP_TO_SIMPLIFIED),
-        class_names=SIMPLIFIED_CLASS_NAMES,
-        palette=SIMPLIFIED_PALETTE,
-    )
-
-
 def simplify_igbp(raster: LabelRaster) -> LabelRaster:
     """Remap a 17-class IGBP raster to the 10-class simplified scheme; 0 stays 0."""
     if raster.scheme is not Scheme.IGBP17:
@@ -91,6 +56,11 @@ def simplify_igbp(raster: LabelRaster) -> LabelRaster:
         bad = int(raster.values.max())
         raise SchemeError(f"id {bad} outside the IGBP range 0..17")
     return LabelRaster(IGBP_TO_SIMPLIFIED[raster.values], Scheme.SIMPLIFIED10)
+
+
+def as_simplified(raster: LabelRaster) -> LabelRaster:
+    """Simplify an IGBP17 raster; a SIMPLIFIED10 raster passes through as is."""
+    return simplify_igbp(raster) if raster.scheme is Scheme.IGBP17 else raster
 
 
 def trainable_mask(
@@ -121,35 +91,12 @@ def upsample_nearest(raster: LabelRaster, factor: int) -> LabelRaster:
     return LabelRaster(up, raster.scheme)
 
 
-def downsample_majority(raster: LabelRaster, factor: int) -> LabelRaster:
-    """Per-block majority vote with lowest-id tie-break; inverse of upsample_nearest.
-
-    The grid must be divisible by factor. Output keeps the coarse h×w shape.
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    h, w = raster.shape
-    if h % factor or w % factor:
-        raise ValueError(f"factor {factor} does not divide raster shape {h}x{w}")
-    if factor == 1:
-        return LabelRaster(raster.values.copy(), raster.scheme)
-    counts = block_class_counts(raster.values, factor)
-    maj = counts.argmax(axis=2).astype(np.uint8)
-    return LabelRaster(maj, raster.scheme)
-
-
-def block_class_counts(values: np.ndarray, factor: int, n_ids: int | None = None) -> np.ndarray:
-    """Count class occurrences per factor×factor block; returns (h, w, n_ids).
-
-    Ties in downstream argmax resolve to the lowest id, so 0 (no-data) wins
-    only when it is a true majority or ties every class.
-    """
+def block_class_counts(values: np.ndarray, factor: int, n_ids: int) -> np.ndarray:
+    """Count the ids 0..n_ids-1 per factor×factor block; returns (h, w, n_ids)."""
     h, w = values.shape
     bh, bw = h // factor, w // factor
     blocks = values.reshape(bh, factor, bw, factor).transpose(0, 2, 1, 3)
     blocks = blocks.reshape(bh * bw, factor * factor)
-    if n_ids is None:
-        n_ids = int(values.max()) + 1 if values.size else 1
     rows = np.repeat(np.arange(bh * bw, dtype=np.int64), factor * factor)
     counts = np.bincount(rows * n_ids + blocks.ravel(), minlength=bh * bw * n_ids)
     return counts.astype(np.int64, copy=False).reshape(bh, bw, n_ids)

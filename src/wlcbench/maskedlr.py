@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
-from .preprocess import FeatureMatrix
-
-K_CLASSES = N_SIMPLIFIED_CLASSES
+from .labels import SAVANNA
+from .preprocess import FeatureMatrix, feature_rows
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,15 @@ def masked_ce_loss(
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels).ravel()
     mask = np.asarray(mask, dtype=bool).ravel()
-    if logits.ndim != 2 or logits.shape[1] != K_CLASSES:
-        raise ValueError(f"expected N×{K_CLASSES} logits, got shape {logits.shape}")
+    if logits.ndim != 2 or logits.shape[1] != N_SIMPLIFIED_CLASSES:
+        raise ValueError(f"expected N×{N_SIMPLIFIED_CLASSES} logits, got shape {logits.shape}")
     if len(labels) != len(logits) or len(mask) != len(logits):
         raise ValueError("logits, labels and mask must agree in length")
     m = int(mask.sum())
     if m == 0:
         raise ValueError("mask selects no pixels; loss undefined for M == 0")
     y = labels[mask].astype(np.int64)
-    if (y < 1).any() or (y > K_CLASSES).any():
+    if (y < 1).any() or (y > N_SIMPLIFIED_CLASSES).any():
         raise ValueError("masked-in labels must be class ids 1..10")
     logp = _log_softmax(logits[mask])
     rows = np.arange(m)
@@ -126,8 +125,8 @@ def logreg_fit(
         raise ValueError("no masked-in labeled pixels to train on")
 
     d = X.shape[1]
-    W = np.zeros((d, K_CLASSES), dtype=np.float64)
-    b = np.zeros(K_CLASSES, dtype=np.float64)
+    W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)
+    b = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     train_idx = np.flatnonzero(base_mask)
     all_in = np.ones(len(train_idx), dtype=bool)
@@ -193,25 +192,22 @@ def _mean_class_accuracy(reference: np.ndarray, prediction: np.ndarray) -> float
 
 
 def logreg_predict_logits(model: LogRegModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
-    X = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.d:
-        raise ValueError(f"feature dimension {X.shape[1:]} != model dimension {model.d}")
-    return X @ model.weights + model.bias
+    return feature_rows(features, model.d) @ model.weights + model.bias
 
 
 def logreg_predict(
     model: LogRegModel,
     features: FeatureMatrix | np.ndarray,
-    exclude_classes: frozenset[int] = frozenset({3}),
+    exclude_classes: frozenset[int] = frozenset({SAVANNA}),
 ) -> np.ndarray:
     """Highest-logit class with lowest-id tie-break, skipping excluded ids
     (default: Savanna, which the mask withheld from training so its scores
     are meaningless)."""
-    if len(exclude_classes) >= K_CLASSES:
+    if len(exclude_classes) >= N_SIMPLIFIED_CLASSES:
         raise ValueError("cannot exclude every class")
     logits = logreg_predict_logits(model, features)
     for cls in exclude_classes:
-        if not 1 <= cls <= K_CLASSES:
-            raise ValueError(f"excluded class id {cls} outside 1..{K_CLASSES}")
+        if not 1 <= cls <= N_SIMPLIFIED_CLASSES:
+            raise ValueError(f"excluded class id {cls} outside 1..{N_SIMPLIFIED_CLASSES}")
         logits[:, cls - 1] = -np.inf
     return _argmax_class(logits)

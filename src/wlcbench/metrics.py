@@ -14,21 +14,21 @@ from typing import AbstractSet, Iterable
 import numpy as np
 
 from .dataset import LabelRaster, N_SIMPLIFIED_CLASSES, Patch, Scheme
-from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, simplify_igbp, trainable_mask
+from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified, trainable_mask
 
-K = N_SIMPLIFIED_CLASSES
+_SQUARE = (N_SIMPLIFIED_CLASSES, N_SIMPLIFIED_CLASSES)
 
 
 @dataclass
 class ConfusionMatrix:
-    """K×K counts; rows are the reference class, columns the prediction."""
+    """10×10 counts; rows are the reference class, columns the prediction."""
 
     counts: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (K, K):
-            raise ValueError(f"confusion matrix must be {K}x{K}, got {c.shape}")
+        if c.shape != _SQUARE:
+            raise ValueError(f"confusion matrix must be {_SQUARE}, got {c.shape}")
         if (c < 0).any():
             raise ValueError("confusion counts must be non-negative")
         self.counts = c
@@ -42,27 +42,33 @@ class ConfusionMatrix:
 
     @classmethod
     def zero(cls) -> "ConfusionMatrix":
-        return cls(np.zeros((K, K), dtype=np.int64))
+        return cls(np.zeros(_SQUARE, dtype=np.int64))
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-normalized LR->HR joint histogram plus per-row pixel support."""
 
-    probs: np.ndarray        # K×K float64
-    row_support: np.ndarray  # K int64
+    probs: np.ndarray        # 10×10 float64
+    row_support: np.ndarray  # 10 int64
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    producers_accuracy: np.ndarray  # K floats, NaN for absent classes
-    iou: np.ndarray                 # K floats, NaN for absent classes
-    present: np.ndarray             # K bools (row support > 0)
-    support: np.ndarray             # K int64 reference-pixel counts
+    producers_accuracy: np.ndarray  # 10 floats, NaN for absent classes
+    iou: np.ndarray                 # 10 floats, NaN for absent classes
+    present: np.ndarray             # 10 bools (row support > 0)
+    support: np.ndarray             # 10 int64 reference-pixel counts
     aa: float
     oa: float
     miou: float
     pixels: int
+
+
+def _pair_counts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """10×10 int64 counts of (row class, column class) pairs of ids 1..10."""
+    flat = (rows.astype(np.int64) - 1) * N_SIMPLIFIED_CLASSES + (cols.astype(np.int64) - 1)
+    return np.bincount(flat, minlength=N_SIMPLIFIED_CLASSES**2).reshape(_SQUARE).astype(np.int64)
 
 
 def confusion(
@@ -92,9 +98,7 @@ def confusion(
                 f"eval_mask shape {eval_mask.shape} != raster shape {reference.shape}"
             )
         keep &= eval_mask.ravel()
-    flat = (ref[keep].astype(np.int64) - 1) * K + (pred[keep].astype(np.int64) - 1)
-    counts = np.bincount(flat, minlength=K * K).reshape(K, K)
-    return ConfusionMatrix(counts)
+    return ConfusionMatrix(_pair_counts(ref[keep], pred[keep]))
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
@@ -112,9 +116,9 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
     diag = np.diag(counts)
     present = row > 0
 
-    pa = np.full(K, np.nan)
+    pa = np.full(N_SIMPLIFIED_CLASSES, np.nan)
     pa[present] = diag[present] / row[present]
-    iou = np.full(K, np.nan)
+    iou = np.full(N_SIMPLIFIED_CLASSES, np.nan)
     denom = row + col - diag
     iou[present] = diag[present] / denom[present]
 
@@ -146,17 +150,12 @@ def transition_matrix(lr: LabelRaster, hr: LabelRaster) -> TransitionMatrix:
     keep = (lv != 0) & (hv != 0)
     if not keep.any():
         raise ValueError("no jointly valid pixels for the transition matrix")
-    flat = (lv[keep].astype(np.int64) - 1) * K + (hv[keep].astype(np.int64) - 1)
-    joint = np.bincount(flat, minlength=K * K).reshape(K, K).astype(np.int64)
+    joint = _pair_counts(lv[keep], hv[keep])
     support = joint.sum(axis=1)
-    probs = np.zeros((K, K), dtype=np.float64)
+    probs = np.zeros(_SQUARE, dtype=np.float64)
     nz = support > 0
     probs[nz] = joint[nz] / support[nz, None]
     return TransitionMatrix(probs=probs, row_support=support)
-
-
-def _as_simplified(raster: LabelRaster) -> LabelRaster:
-    return simplify_igbp(raster) if raster.scheme is Scheme.IGBP17 else raster
 
 
 def aggregate_confusion(
@@ -181,7 +180,7 @@ def aggregate_confusion(
             raster = patch.lr_labels if slot == "lr" else patch.hr_labels
             if raster is None:
                 raise ValueError(f"patch {patch.id!r} lacks {slot} labels")
-            rasters[slot] = _as_simplified(raster)
+            rasters[slot] = as_simplified(raster)
         eval_mask = trainable_mask(rasters[ref], masked_classes)
         total = total + confusion(rasters[ref], rasters[pred], eval_mask)
         n += 1
@@ -205,7 +204,7 @@ def lr_vs_hr_eval(
 def report_csv(rep: MetricsReport) -> str:
     """CSV rows (class,name,producers_acc,iou,support); absent classes show '-'."""
     lines = ["class,name,producers_acc,iou,support"]
-    for i in range(K):
+    for i in range(N_SIMPLIFIED_CLASSES):
         if rep.present[i]:
             pa = f"{rep.producers_accuracy[i]:.6f}"
             iou = f"{rep.iou[i]:.6f}"
@@ -229,13 +228,13 @@ def report_json(rep: MetricsReport) -> str:
 
 
 def matrix_csv(values: np.ndarray, value_format: str = "d") -> str:
-    """CSV grid with class-name headers for a K×K count or probability matrix."""
+    """CSV grid with class-name headers for a 10×10 count or probability matrix."""
     values = np.asarray(values)
-    if values.shape != (K, K):
-        raise ValueError(f"expected a {K}x{K} matrix, got {values.shape}")
+    if values.shape != _SQUARE:
+        raise ValueError(f"expected a {_SQUARE} matrix, got {values.shape}")
     header = "," + ",".join(SIMPLIFIED_CLASS_NAMES)
     lines = [header]
-    for i in range(K):
+    for i in range(N_SIMPLIFIED_CLASSES):
         cells = ",".join(format(v, value_format) for v in values[i])
         lines.append(f"{SIMPLIFIED_CLASS_NAMES[i]},{cells}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import atomic_write
+from .dataset import N_SIMPLIFIED_CLASSES, atomic_write
 from .maskedlr import LogRegConfig, LogRegModel
 from .shallow import ForestModel, KMeansModel, Tree
 
@@ -23,8 +23,6 @@ MODEL_FORMAT_VERSION = 1
 KIND_KMEANS = 1
 KIND_FOREST = 2
 KIND_LOGREG = 3
-
-_K = 10  # simplified classes; probs/weights columns
 
 # Fixed header of each kind's payload, in file order: (field, struct code).
 _HEADERS = {
@@ -151,7 +149,8 @@ def _forest_from(r: _Reader) -> ForestModel:
         threshold = r.array("<f4", n_nodes).astype(np.float64)
         left = r.array("<i4", n_nodes).copy()
         right = r.array("<i4", n_nodes).copy()
-        probs = r.array("<f4", n_nodes * _K).astype(np.float64).reshape(n_nodes, _K)
+        probs = r.array("<f4", n_nodes * N_SIMPLIFIED_CLASSES).astype(np.float64)
+        probs = probs.reshape(n_nodes, N_SIMPLIFIED_CLASSES)
         trees.append(
             Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
         )
@@ -186,8 +185,9 @@ def _logreg_payload(model: LogRegModel) -> bytes:
 
 def _logreg_from(r: _Reader) -> LogRegModel:
     d, lr, batch, epochs, seed, best = r.unpack(_header_format(KIND_LOGREG))
-    weights = r.array("<f4", d * _K).astype(np.float64).reshape(d, _K)
-    bias = r.array("<f4", _K).astype(np.float64)
+    weights = r.array("<f4", d * N_SIMPLIFIED_CLASSES).astype(np.float64)
+    weights = weights.reshape(d, N_SIMPLIFIED_CLASSES)
+    bias = r.array("<f4", N_SIMPLIFIED_CLASSES).astype(np.float64)
     return LogRegModel(
         weights=weights,
         bias=bias,
@@ -200,7 +200,13 @@ def _logreg_from(r: _Reader) -> LogRegModel:
 
 AnyModel = KMeansModel | ForestModel | LogRegModel
 
-_KIND_OF = {KMeansModel: KIND_KMEANS, ForestModel: KIND_FOREST, LogRegModel: KIND_LOGREG}
+#: kind byte -> (model class, payload writer, payload reader)
+_KINDS = {
+    KIND_KMEANS: (KMeansModel, _kmeans_payload, _kmeans_from),
+    KIND_FOREST: (ForestModel, _forest_payload, _forest_from),
+    KIND_LOGREG: (LogRegModel, _logreg_payload, _logreg_from),
+}
+_KIND_OF = {model_type: kind for kind, (model_type, _, _) in _KINDS.items()}
 
 
 def check_fields(model_type: type, **values) -> None:
@@ -222,13 +228,8 @@ def model_to_bytes(model: AnyModel) -> bytes:
     kind = _KIND_OF.get(type(model))
     if kind is None:
         raise ModelIOError(f"unsupported model type {type(model).__name__}")
-    if kind == KIND_KMEANS:
-        payload = _kmeans_payload(model)
-    elif kind == KIND_FOREST:
-        payload = _forest_payload(model)
-    else:
-        payload = _logreg_payload(model)
-    return MODEL_MAGIC + struct.pack("<HB", MODEL_FORMAT_VERSION, kind) + payload
+    _, write_payload, _ = _KINDS[kind]
+    return MODEL_MAGIC + struct.pack("<HB", MODEL_FORMAT_VERSION, kind) + write_payload(model)
 
 
 def model_from_bytes(data: bytes) -> AnyModel:
@@ -238,14 +239,10 @@ def model_from_bytes(data: bytes) -> AnyModel:
         raise ModelIOError(f"bad magic {magic!r}; not a model file")
     if version != MODEL_FORMAT_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
-    if kind == KIND_KMEANS:
-        model = _kmeans_from(r)
-    elif kind == KIND_FOREST:
-        model = _forest_from(r)
-    elif kind == KIND_LOGREG:
-        model = _logreg_from(r)
-    else:
+    if kind not in _KINDS:
         raise ModelIOError(f"unknown model kind {kind}")
+    _, _, read_payload = _KINDS[kind]
+    model = read_payload(r)
     r.done()
     return model
 

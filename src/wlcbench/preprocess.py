@@ -29,10 +29,6 @@ class FusionMode(Enum):
 class FusionConfig:
     mode: FusionMode = FusionMode.S2_ONLY
 
-    @property
-    def d(self) -> int:
-        return 12 if self.mode is FusionMode.S1_PLUS_S2 else 10
-
     @classmethod
     def from_string(cls, mode: str) -> "FusionConfig":
         return cls(FusionMode(mode))
@@ -77,16 +73,13 @@ def select_surface_bands(s2: BandStack) -> BandStack:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-pixel feature rows in [0, 1] with a validity mask and row origins.
+    """Per-pixel feature rows in [0, 1] with a validity mask.
 
     Row k of a single-patch matrix corresponds to pixel (k // W, k % W).
     """
 
     values: np.ndarray        # N×d float64
     valid_mask: np.ndarray    # N bool
-    patch_ids: tuple[str, ...]
-    patch_index: np.ndarray   # N int32, index into patch_ids
-    pixel_index: np.ndarray   # N int32, row-major pixel offset in the patch
 
     @property
     def n_rows(self) -> int:
@@ -95,9 +88,6 @@ class FeatureMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def origin(self, row: int) -> tuple[str, int]:
-        return self.patch_ids[self.patch_index[row]], int(self.pixel_index[row])
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.valid_mask]
@@ -109,13 +99,7 @@ class FeatureMatrix:
             raise ValueError(
                 f"extra mask length {extra_mask.shape} != rows {self.valid_mask.shape}"
             )
-        return FeatureMatrix(
-            self.values,
-            self.valid_mask & extra_mask,
-            self.patch_ids,
-            self.patch_index,
-            self.pixel_index,
-        )
+        return FeatureMatrix(self.values, self.valid_mask & extra_mask)
 
     @classmethod
     def concat(cls, matrices: "list[FeatureMatrix]") -> "FeatureMatrix":
@@ -124,19 +108,21 @@ class FeatureMatrix:
         d = matrices[0].d
         if any(m.d != d for m in matrices):
             raise ValueError("feature dimension mismatch in concat")
-        ids: list[str] = []
-        index_parts = []
-        for m in matrices:
-            offset = len(ids)
-            ids.extend(m.patch_ids)
-            index_parts.append(m.patch_index + offset)
         return cls(
             np.concatenate([m.values for m in matrices]),
             np.concatenate([m.valid_mask for m in matrices]),
-            tuple(ids),
-            np.concatenate(index_parts),
-            np.concatenate([m.pixel_index for m in matrices]),
         )
+
+
+def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
+    """Every row of features as an N×d float64 array; raises unless the width
+    is the model's d."""
+    X = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected N×d features, got shape {X.shape}")
+    if X.shape[1] != d:
+        raise ValueError(f"feature dimension d={X.shape[1]} != model dimension d={d}")
+    return X
 
 
 def assemble_features(patch: Patch, config: FusionConfig) -> FeatureMatrix:
@@ -161,15 +147,9 @@ def assemble_features(patch: Patch, config: FusionConfig) -> FeatureMatrix:
     raw = np.where(np.isfinite(raw), raw, 0.0)
 
     features = np.empty_like(raw)
-    features[:, :10] = np.clip(raw[:, :10], *S2_CLIP) / 1.0e4
+    features[:, :10] = normalize_s2(raw[:, :10])
     if raw.shape[1] == 12:
-        features[:, 10:] = (np.clip(raw[:, 10:], *S1_CLIP) + 25.0) / 25.0
+        features[:, 10:] = normalize_s1(raw[:, 10:])
 
     valid = finite & (patch.lr_labels.values.reshape(n) != 0)
-    return FeatureMatrix(
-        values=features,
-        valid_mask=valid,
-        patch_ids=(patch.id,),
-        patch_index=np.zeros(n, dtype=np.int32),
-        pixel_index=np.arange(n, dtype=np.int32),
-    )
+    return FeatureMatrix(values=features, valid_mask=valid)

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
-from .preprocess import FeatureMatrix
-
-K_CLASSES = N_SIMPLIFIED_CLASSES
+from .preprocess import FeatureMatrix, feature_rows
 
 # Relative slack for the Lloyd monotonicity assertion; covers float64
 # rounding in the mean updates without hiding real regressions.
@@ -122,8 +120,9 @@ def align_clusters(
     clusters = cluster_labels[keep].astype(np.int64)
     classes = reference[keep].astype(np.int64)
     k = int(clusters.max()) + 1
-    cooc = np.bincount(clusters * K_CLASSES + (classes - 1), minlength=k * K_CLASSES)
-    cooc = cooc.reshape(k, K_CLASSES)
+    cooc = np.bincount(
+        clusters * N_SIMPLIFIED_CLASSES + (classes - 1), minlength=k * N_SIMPLIFIED_CLASSES
+    ).reshape(k, N_SIMPLIFIED_CLASSES)
     solution = hungarian(-cooc.astype(np.float64))
     return {cluster: col + 1 for cluster, col in sorted(solution.assignment.items())}
 
@@ -266,9 +265,10 @@ def kmeans_fit(
     """Best of n_init independent k-means++ seedings, each Lloyd-fitted for up
     to max_iter iterations; the lowest-inertia run wins (ties to the earliest).
 
-    Operates on the valid rows of the feature matrix. Raises if the data has
-    fewer than k distinct rows. The row norms and 2X of the distance formula
-    are computed once here and shared by every seeding.
+    Operates on the valid rows of the feature matrix. Raises if a row is not
+    finite or the data has fewer than k distinct rows. The row norms and 2X
+    of the distance formula are computed once here and shared by every
+    seeding.
     """
     X = features.valid_values() if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if k < 1:
@@ -279,6 +279,8 @@ def kmeans_fit(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if X.ndim != 2:
         raise ValueError(f"expected N×d features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("k-means features must be finite")
     if np.unique(X, axis=0).shape[0] < k:
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
@@ -306,10 +308,7 @@ def kmeans_fit(
 
 def kmeans_cluster_ids(model: KMeansModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
     """Raw nearest-centroid cluster ids for every row (no class mapping)."""
-    X = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    if X.shape[1] != model.d:
-        raise ValueError(f"feature dimension {X.shape[1]} != model dimension {model.d}")
-    labels, _ = _nearest(X, model.centroids)
+    labels, _ = _nearest(feature_rows(features, model.d), model.centroids)
     return labels
 
 
@@ -451,7 +450,7 @@ def _presorted_split(ranks, labels, counts):
         cand_row, cand_pos = np.divmod(cand, n - 1)
         row_class = np.arange(m)[:, None] * len(counts) + class_sorted
         keys = (row_class * n + by_class).ravel()
-        classes = np.arange(1, K_CLASSES + 1)
+        classes = np.arange(1, N_SIMPLIFIED_CLASSES + 1)
         query = (cand_row[:, None] * len(counts) + classes) * n + cand_pos[:, None]
         left_cnt = np.searchsorted(keys, query, side="right")
         left_cnt -= cand_row[:, None] * n + starts[classes]
@@ -484,7 +483,7 @@ def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
     left: list[int] = []
     right: list[int] = []
     probs: list[np.ndarray] = []
-    zero = np.zeros(K_CLASSES)
+    zero = np.zeros(N_SIMPLIFIED_CLASSES)
 
     stack = [(orders, 0, -1, left)]  # (positions, depth, parent, parent's link)
     while stack:
@@ -498,7 +497,7 @@ def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
         right.append(-1)
         probs.append(zero)
 
-        counts = np.bincount(labels[orders[0]], minlength=K_CLASSES + 1)
+        counts = np.bincount(labels[orders[0]], minlength=N_SIMPLIFIED_CLASSES + 1)
         split = None
         if depth < max_depth and np.count_nonzero(counts) > 1:
             drawn = rng.choice(d, size=m_try, replace=False)
@@ -576,7 +575,7 @@ def rf_fit(
 
     rows = np.flatnonzero(base_mask)
     y = labels[rows]
-    if ((y < 1) | (y > K_CLASSES)).any():
+    if ((y < 1) | (y > N_SIMPLIFIED_CLASSES)).any():
         raise ValueError("labels must be simplified class ids 1..10")
     y = y.astype(np.uint8)
     # Equal values share a rank, so sorting ranks sorts values; the ranks
@@ -618,12 +617,8 @@ def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
     """Mean leaf probability vector across the ensemble, in tree order."""
-    X = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature dimension {X.shape[1]} != model dimension {model.n_features}"
-        )
-    acc = np.zeros((len(X), K_CLASSES), dtype=np.float64)
+    X = feature_rows(features, model.n_features)
+    acc = np.zeros((len(X), N_SIMPLIFIED_CLASSES), dtype=np.float64)
     for tree in model.trees:
         acc += tree_apply(tree, X)
     return acc / model.n_trees

@@ -33,7 +33,6 @@ from .dataset import (
 from .labels import SAVANNA, block_class_counts, upsample_nearest
 from .preprocess import S1_CLIP, S2_CLIP
 
-K_CLASSES = N_SIMPLIFIED_CLASSES
 FEATURE_DIM = 12  # 10 surface bands + VV + VH
 
 
@@ -48,8 +47,8 @@ class SavannaRule:
     def __post_init__(self):
         a, b = self.trigger
         for cls in (a, b):
-            if not 1 <= cls <= K_CLASSES:
-                raise ValueError(f"trigger class {cls} outside 1..{K_CLASSES}")
+            if not 1 <= cls <= N_SIMPLIFIED_CLASSES:
+                raise ValueError(f"trigger class {cls} outside 1..{N_SIMPLIFIED_CLASSES}")
         if a == b:
             raise ValueError("trigger classes must differ")
         if not 0.0 <= self.p_sav <= 1.0:
@@ -99,8 +98,8 @@ class SynthConfig:
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("class_ids must be unique")
         for cls in self.class_ids:
-            if not 1 <= cls <= K_CLASSES:
-                raise ValueError(f"class id {cls} outside 1..{K_CLASSES}")
+            if not 1 <= cls <= N_SIMPLIFIED_CLASSES:
+                raise ValueError(f"class id {cls} outside 1..{N_SIMPLIFIED_CLASSES}")
         means = _as_mean_table(self.class_means)
         if means.shape[0] != len(self.class_ids):
             raise ValueError("class_means rows must match class_ids")
@@ -265,7 +264,7 @@ def degrade_labels(
     if rng is None:
         rng = _spawned(config, 2)
 
-    counts = block_class_counts(hr.values, f, n_ids=K_CLASSES + 1)
+    counts = block_class_counts(hr.values, f, n_ids=N_SIMPLIFIED_CLASSES + 1)
     labeled = counts[:, :, 1:]
     majority = (labeled.argmax(axis=2) + 1).astype(np.uint8)
     has_any = labeled.sum(axis=2) > 0
@@ -279,7 +278,7 @@ def degrade_labels(
     bh, bw = majority.shape
     u_sav = rng.random((bh, bw))
     u_flip = rng.random((bh, bw))
-    t = rng.integers(1, K_CLASSES, size=(bh, bw))
+    t = rng.integers(1, N_SIMPLIFIED_CLASSES, size=(bh, bw))
 
     lr = majority.copy()
     lr[mixed & has_any & (u_sav < config.savanna_rule.p_sav)] = SAVANNA
@@ -313,7 +312,7 @@ def generate_scene(
     hr = LabelRaster(values=hr_values, scheme=Scheme.SIMPLIFIED10)
 
     means = config.mean_table
-    index_of = np.zeros(K_CLASSES + 1, dtype=np.intp)
+    index_of = np.zeros(N_SIMPLIFIED_CLASSES + 1, dtype=np.intp)
     for i, cls in enumerate(config.class_ids):
         index_of[cls] = i
     unit = means[index_of[hr_values]]                       # H×W×12 in [0,1]

@@ -415,14 +415,51 @@ def test_kmeans_k_too_large_fails(split_dir, tmp_path, capsys):
     assert "distinct" in single_json_error(err)["error"]
 
 
-def test_fusion_mismatch_fails(split_dir, rf_model_file, tmp_path, capsys):
-    code, _, err = run(
+@pytest.mark.parametrize("model", ["kmeans", "rf", "logreg"])
+def test_fusion_mismatch_fails(split_dir, tmp_path, capsys, model):
+    flags = {"kmeans": ["--k", "3"], "rf": ["--trees", "1"], "logreg": ["--epochs", "1"]}
+    path = tmp_path / "m.wlcm"
+    code, _, _ = run(
+        capsys, "train", *split_args(split_dir), "--model", model, *flags[model],
+        "--out", str(path),
+    )
+    assert code == 0
+    code, out, err = run(
         capsys, "predict", *split_args(split_dir),
-        "--model-file", str(rf_model_file), "--fusion", "s1s2",
+        "--model-file", str(path), "--fusion", "s1s2",
         "--out", str(tmp_path / "pred"),
     )
     assert code == 1
-    assert "d=10" in single_json_error(err)["error"]
+    assert out == ""
+    assert single_json_error(err)["error"] == (
+        "feature dimension d=12 != model dimension d=10"
+    )
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "subsample"])
+def test_negative_seed_is_refused_before_reading_data(
+    split_dir, tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("kmeans_fit", "rf_fit"):
+        monkeypatch.setattr(cli.shallow, name, no_work)
+    for name in ("logreg_fit", "load_manifest", "generate_scenes"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "out")],
+        "train": ["train", *split_args(split_dir), "--model", "rf",
+                  "--out", str(tmp_path / "out")],
+        "subsample": ["stats", *split_args(split_dir), "--subsample", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seed" in single_json_error(err)["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point_subprocess(split_dir, tmp_path):

@@ -190,7 +190,6 @@ def test_manifest_roundtrip(tmp_path):
     save_manifest(m, tmp_path / "m.json")
     back = load_manifest(tmp_path / "m.json")
     assert back == m
-    assert back.declared_size == 3
 
 
 def test_manifest_duplicate_ids_rejected():

@@ -1,7 +1,5 @@
 """Scheme remapping, masking policy, and label-grid resampling."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +11,8 @@ from wlcbench.labels import (
     SIMPLIFIED_CLASS_NAMES,
     SIMPLIFIED_PALETTE,
     SchemeError,
-    SchemeMap,
+    as_simplified,
     block_class_counts,
-    default_scheme_map,
-    downsample_majority,
     simplify_igbp,
     trainable_mask,
     upsample_nearest,
@@ -49,21 +45,6 @@ def simplify_oracle(values):
     out = np.zeros_like(values)
     for i, v in enumerate(values.ravel().tolist()):
         out.flat[i] = EXPECTED_MAP[v]
-    return out
-
-
-def majority_oracle(values, factor):
-    """Per-block counting with explicit lowest-id tie-break."""
-    h, w = values.shape
-    out = np.zeros((h // factor, w // factor), dtype=np.uint8)
-    for bi in range(h // factor):
-        for bj in range(w // factor):
-            block = values[bi * factor : (bi + 1) * factor, bj * factor : (bj + 1) * factor]
-            counts = {}
-            for v in block.ravel().tolist():
-                counts[v] = counts.get(v, 0) + 1
-            best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            out[bi, bj] = best[0]
     return out
 
 
@@ -106,27 +87,21 @@ def test_simplify_rejects_out_of_range_id():
         simplify_igbp(raster)
 
 
+def test_as_simplified_simplifies_igbp_and_passes_simplified_through():
+    igbp = LabelRaster(np.arange(18, dtype=np.uint8).reshape(3, 6), Scheme.IGBP17)
+    out = as_simplified(igbp)
+    assert out.scheme is Scheme.SIMPLIFIED10
+    np.testing.assert_array_equal(out.values, simplify_igbp(igbp).values)
+    simplified = LabelRaster(np.array([[0, 3, 10]], dtype=np.uint8), Scheme.SIMPLIFIED10)
+    assert as_simplified(simplified) is simplified
+
+
 def test_palette_and_names():
     assert SIMPLIFIED_PALETTE == EXPECTED_PALETTE
     assert SIMPLIFIED_CLASS_NAMES[0] == "Forest"
     assert SIMPLIFIED_CLASS_NAMES[2] == "Savanna"
     assert SIMPLIFIED_CLASS_NAMES[9] == "Water"
     assert len(SIMPLIFIED_CLASS_NAMES) == 10
-
-
-def test_scheme_map_json_document():
-    doc = json.loads(default_scheme_map().to_json())
-    assert doc["igbp_to_simplified"] == {
-        str(i): EXPECTED_MAP[i] for i in range(1, 18)
-    }
-    assert doc["classes"][0] == {"id": 1, "name": "Forest", "color": "009900"}
-    assert doc["classes"][9] == {"id": 10, "name": "Water", "color": "1c0dff"}
-
-
-def test_scheme_map_rgb():
-    rgb = default_scheme_map().rgb_palette
-    assert len(rgb) == 10
-    assert rgb[9] == (0x1C, 0x0D, 0xFF)  # Water
 
 
 # --- trainable_mask -----------------------------------------------------
@@ -197,34 +172,6 @@ def test_upsample_scales_histogram_by_factor_squared(seed, factor):
     before = np.bincount(values.ravel(), minlength=11)
     after = np.bincount(up.values.ravel(), minlength=11)
     np.testing.assert_array_equal(after, before * factor * factor)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 4))
-def test_downsample_inverts_upsample(seed, factor):
-    values = np.random.default_rng(seed).integers(0, 11, (4, 6), dtype=np.uint8)
-    raster = LabelRaster(values, Scheme.SIMPLIFIED10)
-    back = downsample_majority(upsample_nearest(raster, factor), factor)
-    np.testing.assert_array_equal(back.values, values)
-
-
-def test_downsample_majority_matches_oracle(rng):
-    values = rng.integers(0, 11, (12, 8), dtype=np.uint8)
-    raster = LabelRaster(values, Scheme.SIMPLIFIED10)
-    out = downsample_majority(raster, 4)
-    np.testing.assert_array_equal(out.values, majority_oracle(values, 4))
-
-
-def test_downsample_tie_breaks_to_lowest_id():
-    values = np.array([[2, 2], [9, 9]], dtype=np.uint8)
-    out = downsample_majority(LabelRaster(values, Scheme.SIMPLIFIED10), 2)
-    assert out.values[0, 0] == 2
-
-
-def test_downsample_factor_must_divide():
-    raster = LabelRaster(np.ones((3, 3), dtype=np.uint8), Scheme.SIMPLIFIED10)
-    with pytest.raises(ValueError):
-        downsample_majority(raster, 2)
 
 
 def test_block_class_counts_fixed_width(rng):

@@ -194,13 +194,7 @@ def test_fit_mask_equals_deletion_bitwise(rng):
     X = rng.random((40, 2))
     y = rng.integers(1, 4, 40).astype(np.uint8)
     keep = rng.random(40) < 0.7
-    fm = FeatureMatrix(
-        values=X,
-        valid_mask=keep,
-        patch_ids=("p",),
-        patch_index=np.zeros(40, dtype=np.int32),
-        pixel_index=np.arange(40, dtype=np.int32),
-    )
+    fm = FeatureMatrix(values=X, valid_mask=keep)
     config = LogRegConfig(epochs=4, batch_size=8, seed=1)
     via_mask = logreg_fit(fm, y, config=config)
     via_delete = logreg_fit(X[keep], y[keep], config=config)

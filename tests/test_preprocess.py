@@ -11,6 +11,7 @@ from wlcbench.preprocess import (
     FusionConfig,
     FusionMode,
     assemble_features,
+    feature_rows,
     normalize_s1,
     normalize_s2,
     select_surface_bands,
@@ -108,8 +109,8 @@ def test_select_surface_rejects_unknown_band_set():
 # --- fusion config --------------------------------------------------------
 
 def test_fusion_dimensions():
-    assert FusionConfig.from_string("s2").d == 10
-    assert FusionConfig.from_string("s1s2").d == 12
+    assert FusionConfig.from_string("s2").mode is FusionMode.S2_ONLY
+    assert FusionConfig.from_string("s1s2").mode is FusionMode.S1_PLUS_S2
     assert FusionConfig().mode is FusionMode.S2_ONLY
 
 
@@ -126,7 +127,6 @@ def test_single_pixel_s2_only():
     assert fm.values.shape == (1, 10)
     np.testing.assert_array_equal(fm.values[0], np.full(10, 0.5))
     assert fm.valid_mask.all()
-    assert fm.origin(0) == ("p0", 0)
 
 
 def test_single_pixel_fused_column_order():
@@ -203,16 +203,16 @@ def test_with_mask_intersects():
 
 def test_concat_tracks_origins():
     a = assemble_features(
-        make_patch([[1, 2]], patch_id="a"), FusionConfig.from_string("s2")
+        make_patch([[1, 0]], patch_id="a"), FusionConfig.from_string("s2")
     )
     b = assemble_features(
-        make_patch([[3]], patch_id="b"), FusionConfig.from_string("s2")
+        make_patch([[3]], s2=np.full((10, 1, 1), 5000.0, dtype=np.float32), patch_id="b"),
+        FusionConfig.from_string("s2"),
     )
     cat = FeatureMatrix.concat([a, b])
     assert cat.n_rows == 3
-    assert cat.origin(0) == ("a", 0)
-    assert cat.origin(1) == ("a", 1)
-    assert cat.origin(2) == ("b", 0)
+    np.testing.assert_array_equal(cat.values, np.vstack([a.values, b.values]))
+    np.testing.assert_array_equal(cat.valid_mask, [True, False, True])
 
 
 def test_concat_rejects_mixed_dimensions():
@@ -223,6 +223,18 @@ def test_concat_rejects_mixed_dimensions():
     )
     with pytest.raises(ValueError, match="dimension"):
         FeatureMatrix.concat([a, b])
+
+
+def test_feature_rows_checks_the_model_width():
+    X = np.zeros((3, 10))
+    np.testing.assert_array_equal(feature_rows(X, 10), X)
+    fm = FeatureMatrix(values=X, valid_mask=np.array([True, False, True]))
+    assert feature_rows(fm, 10).shape == (3, 10)  # every row, not only valid ones
+    with pytest.raises(ValueError) as exc:
+        feature_rows(fm, 12)
+    assert str(exc.value) == "feature dimension d=10 != model dimension d=12"
+    with pytest.raises(ValueError, match="N×d"):
+        feature_rows(np.zeros(10), 10)
 
 
 def test_valid_values_filters():

@@ -297,13 +297,7 @@ def test_lloyd_relocates_empty_clusters_to_the_farthest_rows():
 
 def test_kmeans_fit_uses_only_valid_rows(rng):
     values = np.vstack([rng.random((20, 2)), np.full((5, 2), 500.0)])
-    fm = FeatureMatrix(
-        values=values,
-        valid_mask=np.array([True] * 20 + [False] * 5),
-        patch_ids=("p",),
-        patch_index=np.zeros(25, dtype=np.int32),
-        pixel_index=np.arange(25, dtype=np.int32),
-    )
+    fm = FeatureMatrix(values=values, valid_mask=np.array([True] * 20 + [False] * 5))
     model = kmeans_fit(fm, k=3, n_init=2, seed=0)
     assert np.abs(model.centroids).max() <= 1.0
 
@@ -339,6 +333,17 @@ def test_kmeans_predict_rejects_unmapped_cluster():
     )
     with pytest.raises(ValueError, match="no class mapping"):
         kmeans_predict(model, np.array([[0.95]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_fit_rejects_non_finite_rows(rng, bad):
+    X = rng.random((20, 2))
+    X[7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_fit(X, k=3, n_init=1, seed=0)
+    # a masked-out row is not part of the fit
+    fm = FeatureMatrix(values=X, valid_mask=np.arange(20) != 7)
+    assert kmeans_fit(fm, k=3, n_init=1, seed=0).k == 3
 
 
 def test_kmeans_cluster_ids_dimension_check(rng):
