@@ -30,7 +30,8 @@ from wlcbench.dataset import (
 )
 from wlcbench.labels import SIMPLIFIED_CLASS_NAMES
 
-out = Path(tempfile.mkdtemp(prefix="wlcbench-demo1-"))
+tmp = tempfile.TemporaryDirectory(prefix="wlcbench-demo1-")
+out = Path(tmp.name)
 rng = np.random.default_rng(0)
 
 # 1. two small patches: one water-heavy with HR truth, one forest-only
@@ -78,4 +79,4 @@ for name, c, f in zip(SIMPLIFIED_CLASS_NAMES, counts, fractions):
         print(f"  {name:<15} {int(c):>4} px  {f:.3f}")
 # entry i-1 counts the patches showing exactly i distinct classes
 print("classes-per-patch histogram:", classes_per_patch(loaded, which="lr"))
-print(f"\nartifacts in {out}")
+tmp.cleanup()

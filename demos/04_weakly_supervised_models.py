@@ -55,12 +55,13 @@ print(f"logreg: final loss {logreg.loss_curve[-1]:.4f}, "
       f"(holdout AA {logreg.holdout_curve[logreg.best_epoch]:.3f})")
 
 # models are plain little binary files
-out = Path(tempfile.mkdtemp(prefix="wlcbench-demo4-"))
-modelio.save_model(forest, out / "forest.wlcm")
-modelio.save_model(logreg, out / "logreg.wlcm")
-forest = modelio.load_model(out / "forest.wlcm")
-logreg = modelio.load_model(out / "logreg.wlcm")
-print(f"round-tripped both models through {out}")
+with tempfile.TemporaryDirectory(prefix="wlcbench-demo4-") as tmp:
+    out = Path(tmp)
+    modelio.save_model(forest, out / "forest.wlcm")
+    modelio.save_model(logreg, out / "logreg.wlcm")
+    forest = modelio.load_model(out / "forest.wlcm")
+    logreg = modelio.load_model(out / "logreg.wlcm")
+print("round-tripped both models through .wlcm files")
 
 
 def score(predict):

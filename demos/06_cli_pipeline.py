@@ -14,7 +14,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-root = Path(tempfile.mkdtemp(prefix="wlcbench-demo6-"))
+tmp = tempfile.TemporaryDirectory(prefix="wlcbench-demo6-")
+root = Path(tmp.name)
 
 # The commands run inside `root`, so hand them this checkout's src/ by its
 # absolute path; an installed package or a relative PYTHONPATH is not needed.
@@ -73,7 +74,8 @@ doc = wlcbench("render", "--manifest", "pred/manifest.json", "--data-dir", "pred
                "--which", "lr", "--out", "maps")
 print(f"  {doc['rendered']} maps -> {doc['out']}")
 
-print(f"\neverything under {root}")
+print("\neverything it wrote:")
 for path in sorted(root.rglob("*")):
     if path.is_file():
         print(f"  {path.relative_to(root)}  ({path.stat().st_size} bytes)")
+tmp.cleanup()

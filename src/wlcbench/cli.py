@@ -98,12 +98,6 @@ def _features_and_labels(patches, fusion: FusionConfig):
     return feats, np.concatenate(lab)
 
 
-def _hr_or_fail(patch: Patch) -> np.ndarray:
-    if patch.hr_labels is None:
-        raise ValueError(f"patch {patch.id!r} lacks hr labels")
-    return patch.hr_labels.values
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -163,13 +157,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _train_mask(labels_vec: np.ndarray, mask_savanna: bool) -> np.ndarray:
-    keep = np.ones(len(labels_vec), dtype=bool)
-    if mask_savanna:
-        keep &= labels_vec != SAVANNA
-    return keep
-
-
 def _check_train_flags(args) -> None:
     """Refuse, before any data is read, hyperparameters that would leave an
     untrained model or that the model file cannot hold."""
@@ -193,7 +180,8 @@ def cmd_train(args) -> int:
     _, patches = _load_split(args)
     fusion = FusionConfig.from_string(args.fusion)
     feats, lab = _features_and_labels(patches, fusion)
-    feats = feats.with_mask(_train_mask(lab, args.mask_savanna))
+    if args.mask_savanna:
+        feats = feats.with_mask(lab != SAVANNA)
 
     summary: dict = {"model": args.model, "fusion": args.fusion, "out": args.out}
     if args.model == "kmeans":
@@ -281,7 +269,7 @@ def cmd_evaluate(args) -> int:
 def cmd_transition(args) -> int:
     _, patches = _load_split(args)
     lr_all = np.concatenate([p.lr_labels.values.ravel() for p in patches])
-    hr_all = np.concatenate([_hr_or_fail(p).ravel() for p in patches])
+    hr_all = np.concatenate([p.labels("hr").values.ravel() for p in patches])
     tm = metrics.transition_matrix(
         LabelRaster(lr_all[None, :], Scheme.SIMPLIFIED10),
         LabelRaster(hr_all[None, :], Scheme.SIMPLIFIED10),
@@ -304,10 +292,7 @@ def cmd_render(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for patch in patches:
-        raster = patch.lr_labels if args.which == "lr" else patch.hr_labels
-        if raster is None:
-            raise ValueError(f"patch {patch.id!r} lacks hr labels")
-        atomic_write(out / f"{patch.id}.ppm", render_labels(raster))
+        atomic_write(out / f"{patch.id}.ppm", render_labels(patch.labels(args.which)))
     _emit({"rendered": len(patches), "out": str(out)})
     return 0
 

@@ -128,6 +128,17 @@ class Patch:
     def width(self) -> int:
         return self.s2.shape[1]
 
+    def labels(self, which: str) -> LabelRaster:
+        """The label raster in slot ``which``, "lr" or "hr" (exact, lowercase);
+        raises ValueError for another slot name or absent HR labels."""
+        if which == "lr":
+            return self.lr_labels
+        if which != "hr":
+            raise ValueError(f"label slot must be 'lr' or 'hr', got {which!r}")
+        if self.hr_labels is None:
+            raise ValueError(f"patch {self.id!r} lacks hr labels")
+        return self.hr_labels
+
     def validate(self) -> None:
         """Check all type invariants; raises ContainerError on the first violation."""
         h, w = self.s2.shape
@@ -347,17 +358,6 @@ def iter_patches(manifest: SplitManifest, data_dir: str | Path) -> Iterable[Patc
         yield read_patch(data_dir / f"{pid}.wlcb")
 
 
-def _labels_of(patch: Patch, which: str) -> LabelRaster:
-    which = which.lower()
-    if which == "lr":
-        return patch.lr_labels
-    if which == "hr":
-        if patch.hr_labels is None:
-            raise ContainerError(f"patch {patch.id!r} has no hr_labels")
-        return patch.hr_labels
-    raise ValueError(f"which must be 'lr' or 'hr', got {which!r}")
-
-
 def _require_simplified(raster: LabelRaster, patch_id: str) -> np.ndarray:
     if raster.scheme is not Scheme.SIMPLIFIED10:
         raise ValueError(
@@ -376,7 +376,7 @@ def class_histogram(patches: Sequence[Patch] | Iterable[Patch], which: str = "lr
     counts = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.int64)
     n_patches = 0
     for patch in patches:
-        vals = _require_simplified(_labels_of(patch, which), patch.id)
+        vals = _require_simplified(patch.labels(which), patch.id)
         counts += np.bincount(vals.ravel(), minlength=N_SIMPLIFIED_CLASSES + 1)[1:].astype(np.int64)
         n_patches += 1
     if n_patches == 0:
@@ -394,7 +394,7 @@ def classes_per_patch(patches: Sequence[Patch] | Iterable[Patch], which: str = "
     hist = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.int64)
     n_patches = 0
     for patch in patches:
-        vals = _require_simplified(_labels_of(patch, which), patch.id)
+        vals = _require_simplified(patch.labels(which), patch.id)
         distinct = np.unique(vals)
         n = int((distinct != 0).sum())
         if n > 0:

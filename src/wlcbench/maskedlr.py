@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
 from .labels import SAVANNA
-from .preprocess import FeatureMatrix, feature_rows
+from .preprocess import FeatureMatrix, feature_rows, training_rows
 
 
 @dataclass(frozen=True)
@@ -109,26 +109,12 @@ def logreg_fit(
     mean accuracy on its labeled pixels is tracked after each epoch and the
     weights snapshot from the best epoch (earliest on ties) is returned.
     """
-    if isinstance(features, FeatureMatrix):
-        base_mask = features.valid_mask.copy()
-        X = features.values
-    else:
-        X = np.asarray(features, dtype=np.float64)
-        base_mask = np.ones(len(X), dtype=bool)
+    X, train_idx = training_rows(features, labels, mask)
     labels = np.asarray(labels).ravel()
-    if len(labels) != len(X):
-        raise ValueError("labels length must match feature rows")
-    if mask is not None:
-        base_mask &= np.asarray(mask, dtype=bool).ravel()
-    base_mask &= labels != 0
-    if not base_mask.any():
-        raise ValueError("no masked-in labeled pixels to train on")
-
     d = X.shape[1]
     W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)
     b = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    train_idx = np.flatnonzero(base_mask)
     all_in = np.ones(len(train_idx), dtype=bool)
 
     ho = None

@@ -65,12 +65,6 @@ class MetricsReport:
     pixels: int
 
 
-def _pair_counts(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """10×10 int64 counts of (row class, column class) pairs of ids 1..10."""
-    flat = (rows.astype(np.int64) - 1) * N_SIMPLIFIED_CLASSES + (cols.astype(np.int64) - 1)
-    return np.bincount(flat, minlength=N_SIMPLIFIED_CLASSES**2).reshape(_SQUARE).astype(np.int64)
-
-
 def confusion(
     reference: LabelRaster,
     prediction: LabelRaster,
@@ -98,7 +92,8 @@ def confusion(
                 f"eval_mask shape {eval_mask.shape} != raster shape {reference.shape}"
             )
         keep &= eval_mask.ravel()
-    return ConfusionMatrix(_pair_counts(ref[keep], pred[keep]))
+    flat = (ref[keep].astype(np.int64) - 1) * N_SIMPLIFIED_CLASSES + (pred[keep].astype(np.int64) - 1)
+    return ConfusionMatrix(np.bincount(flat, minlength=N_SIMPLIFIED_CLASSES**2).reshape(_SQUARE))
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
@@ -137,20 +132,13 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
 def transition_matrix(lr: LabelRaster, hr: LabelRaster) -> TransitionMatrix:
     """Probability of each HR class conditioned on the LR class.
 
-    probs[l-1][h-1] = count(lr=l and hr=h) / count(lr=l); rows without
-    support are all zero.
+    probs[l-1][h-1] = count(lr=l and hr=h) / count(lr=l) over jointly valid
+    pixels, that is the confusion matrix of hr against the lr reference,
+    row-normalized; rows without support are all zero.
     """
-    if lr.shape != hr.shape:
-        raise ValueError(f"shape mismatch: lr {lr.shape} vs hr {hr.shape}")
-    for name, raster in (("lr", lr), ("hr", hr)):
-        if raster.scheme is not Scheme.SIMPLIFIED10:
-            raise ValueError(f"{name} raster must be SIMPLIFIED10, got {raster.scheme.name}")
-    lv = lr.values.ravel()
-    hv = hr.values.ravel()
-    keep = (lv != 0) & (hv != 0)
-    if not keep.any():
+    joint = confusion(lr, hr).counts
+    if not joint.any():
         raise ValueError("no jointly valid pixels for the transition matrix")
-    joint = _pair_counts(lv[keep], hv[keep])
     support = joint.sum(axis=1)
     probs = np.zeros(_SQUARE, dtype=np.float64)
     nz = support > 0
@@ -175,12 +163,7 @@ def aggregate_confusion(
     total = ConfusionMatrix.zero()
     n = 0
     for patch in patches:
-        rasters = {}
-        for slot in (pred, ref):
-            raster = patch.lr_labels if slot == "lr" else patch.hr_labels
-            if raster is None:
-                raise ValueError(f"patch {patch.id!r} lacks {slot} labels")
-            rasters[slot] = as_simplified(raster)
+        rasters = {slot: as_simplified(patch.labels(slot)) for slot in (pred, ref)}
         eval_mask = trainable_mask(rasters[ref], masked_classes)
         total = total + confusion(rasters[ref], rasters[pred], eval_mask)
         n += 1

@@ -89,9 +89,6 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def valid_values(self) -> np.ndarray:
-        return self.values[self.valid_mask]
-
     def with_mask(self, extra_mask: np.ndarray) -> "FeatureMatrix":
         """Return a copy whose validity mask is ANDed with extra_mask."""
         extra_mask = np.asarray(extra_mask, dtype=bool).ravel()
@@ -123,6 +120,42 @@ def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
     if X.shape[1] != d:
         raise ValueError(f"feature dimension d={X.shape[1]} != model dimension d={d}")
     return X
+
+
+def training_rows(
+    features: FeatureMatrix | np.ndarray,
+    labels: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a model may fit on: (X, rows), X every row of features as an
+    N×d float64 array, rows the ascending indices of the selected rows.
+
+    A row is selected when it is valid (a FeatureMatrix's valid_mask), the
+    caller's mask is true and, when labels are given, its label is not 0
+    (no-data). Raises unless d >= 1, labels and mask have N entries, some
+    row is selected and every selected row is finite.
+    """
+    is_matrix = isinstance(features, FeatureMatrix)
+    X = features.values if is_matrix else np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"expected N×d features with d >= 1, got shape {X.shape}")
+    keep = features.valid_mask.copy() if is_matrix else np.ones(len(X), dtype=bool)
+    if labels is not None:
+        labels = np.asarray(labels).ravel()
+        if len(labels) != len(X):
+            raise ValueError(f"labels length {len(labels)} != feature rows {len(X)}")
+        keep &= labels != 0
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).ravel()
+        if len(mask) != len(X):
+            raise ValueError(f"mask length {len(mask)} != feature rows {len(X)}")
+        keep &= mask
+    rows = np.flatnonzero(keep)
+    if not len(rows):
+        raise ValueError("no valid, masked-in, labeled rows to train on")
+    if not np.isfinite(X).all(axis=1)[rows].all():
+        raise ValueError("training features must be finite (no NaN or inf)")
+    return X, rows
 
 
 def assemble_features(patch: Patch, config: FusionConfig) -> FeatureMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
-from .preprocess import FeatureMatrix, feature_rows
+from .preprocess import FeatureMatrix, feature_rows, training_rows
 
 # Relative slack for the Lloyd monotonicity assertion; covers float64
 # rounding in the mean updates without hiding real regressions.
@@ -270,17 +270,14 @@ def kmeans_fit(
     of the distance formula are computed once here and shared by every
     seeding.
     """
-    X = features.valid_values() if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if X.ndim != 2:
-        raise ValueError(f"expected N×d features, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("k-means features must be finite")
+    X, rows = training_rows(features)
+    X = X[rows]
     if np.unique(X, axis=0).shape[0] < k:
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
@@ -556,25 +553,8 @@ def rf_fit(
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    if isinstance(features, FeatureMatrix):
-        base_mask = features.valid_mask.copy()
-        X_all = features.values
-    else:
-        X_all = np.asarray(features, dtype=np.float64)
-        base_mask = np.ones(len(X_all), dtype=bool)
-    if X_all.ndim != 2 or X_all.shape[1] < 1:
-        raise ValueError(f"expected N×d features with d >= 1, got shape {X_all.shape}")
-    labels = np.asarray(labels).ravel()
-    if len(labels) != len(X_all):
-        raise ValueError("labels length must match feature rows")
-    if mask is not None:
-        base_mask &= np.asarray(mask, dtype=bool).ravel()
-    base_mask &= labels != 0
-    if not base_mask.any():
-        raise ValueError("no valid labeled pixels to train on")
-
-    rows = np.flatnonzero(base_mask)
-    y = labels[rows]
+    X_all, rows = training_rows(features, labels, mask)
+    y = np.asarray(labels).ravel()[rows]
     if ((y < 1) | (y > N_SIMPLIFIED_CLASSES)).any():
         raise ValueError("labels must be simplified class ids 1..10")
     y = y.astype(np.uint8)
@@ -583,10 +563,7 @@ def rf_fit(
     n, d = len(rows), X_all.shape[1]
     ranks = np.empty((d, n), dtype=np.int32)
     for f in range(d):
-        column = X_all[rows, f]
-        if np.isnan(column).any():
-            raise ValueError("training features must not be NaN")
-        ranks[f] = np.unique(column, return_inverse=True)[1]
+        ranks[f] = np.unique(X_all[rows, f], return_inverse=True)[1]
 
     m_try = math.ceil(math.sqrt(d))
     trees = []

@@ -216,10 +216,6 @@ def default_synth_config(
     )
 
 
-def _spawned(config: SynthConfig, key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
-
-
 def _voronoi_labels(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """HR truth: nearest-site partition, sites labeled uniformly from the
     class set. Equidistant pixels go to the lowest site index."""
@@ -254,6 +250,7 @@ def degrade_labels(
     every labeled block then flips to a uniformly random other class with
     probability p_flip; the block grid is upsampled back to the input size.
     Blocks without any labeled pixel stay no-data and are never perturbed.
+    The default rng is the degradation generator of generate_scene(config).
     """
     if hr.scheme is not Scheme.SIMPLIFIED10:
         raise ValueError("degrade_labels expects SIMPLIFIED10 labels")
@@ -262,7 +259,7 @@ def degrade_labels(
     if h % f or w % f:
         raise ValueError(f"block_factor {f} must divide raster shape {h}×{w}")
     if rng is None:
-        rng = _spawned(config, 2)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
     counts = block_class_counts(hr.values, f, n_ids=N_SIMPLIFIED_CLASSES + 1)
     labeled = counts[:, :, 1:]
@@ -297,16 +294,13 @@ def generate_scene(
     """One scene: Voronoi HR truth, class-mean band values plus clipped
     Gaussian noise stored in raw sensor units, and a degraded LR channel.
 
-    With the default seq the three internal generators derive from
-    config.seed, so equal configs give byte-identical patches.
+    The sites, noise and degradation generators are the three children of
+    seq, SeedSequence(config.seed) by default, so equal configs give
+    byte-identical patches.
     """
     if seq is None:
-        sites_rng = _spawned(config, 0)
-        noise_rng = _spawned(config, 1)
-        degrade_rng = _spawned(config, 2)
-    else:
-        kids = seq.spawn(3)
-        sites_rng, noise_rng, degrade_rng = (np.random.default_rng(k) for k in kids)
+        seq = np.random.SeedSequence(config.seed)
+    sites_rng, noise_rng, degrade_rng = (np.random.default_rng(k) for k in seq.spawn(3))
 
     hr_values = _voronoi_labels(config, sites_rng)
     hr = LabelRaster(values=hr_values, scheme=Scheme.SIMPLIFIED10)

@@ -1,5 +1,6 @@
 """End-to-end command flows, exit codes, and the JSON error contract."""
 
+import dataclasses
 import filecmp
 import json
 import subprocess
@@ -10,7 +11,15 @@ import pytest
 
 from wlcbench import cli
 from wlcbench.cli import main
-from wlcbench.dataset import Scheme, iter_patches, load_manifest
+from wlcbench.dataset import (
+    LabelRaster,
+    Scheme,
+    iter_patches,
+    load_manifest,
+    save_manifest,
+    write_patch,
+)
+from wlcbench.labels import SAVANNA
 from wlcbench.modelio import load_model
 from wlcbench.shallow import ForestModel, KMeansModel
 from wlcbench.synth import SynthConfig
@@ -434,6 +443,39 @@ def test_fusion_mismatch_fails(split_dir, tmp_path, capsys, model):
     assert single_json_error(err)["error"] == (
         "feature dimension d=12 != model dimension d=10"
     )
+
+
+@pytest.fixture(scope="module")
+def savanna_split_dir(split_dir, tmp_path_factory):
+    """The split with every LR label Savanna and the HR labels dropped."""
+    d = tmp_path_factory.mktemp("savanna")
+    manifest = load_manifest(split_dir / "manifest.json")
+    for p in iter_patches(manifest, split_dir):
+        lr = LabelRaster(np.full(p.lr_labels.shape, SAVANNA), Scheme.SIMPLIFIED10)
+        write_patch(dataclasses.replace(p, lr_labels=lr, hr_labels=None), d / f"{p.id}.wlcb")
+    save_manifest(manifest, d / "manifest.json")
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--model", "kmeans", "--k", "2"], "no valid, masked-in, labeled rows"),
+        (["train", "--model", "rf", "--trees", "1"], "no valid, masked-in, labeled rows"),
+        (["train", "--model", "logreg", "--epochs", "1"], "no valid, masked-in, labeled rows"),
+        (["transition"], "lacks hr labels"),
+        (["render", "--which", "hr"], "lacks hr labels"),
+        (["evaluate"], "lacks hr labels"),
+        (["stats", "--which", "hr"], "lacks hr labels"),
+    ],
+    ids=["kmeans", "rf", "logreg", "transition", "render", "evaluate", "stats"],
+)
+def test_no_training_rows_or_hr_labels_fails(savanna_split_dir, tmp_path, capsys, argv, message):
+    out_flag = ["--out", str(tmp_path / "out")] if argv[0] in ("train", "transition", "render") else []
+    code, out, err = run(capsys, argv[0], *split_args(savanna_split_dir), *argv[1:], *out_flag)
+    assert code == 1
+    assert out == ""
+    assert message in single_json_error(err)["error"]
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "subsample"])

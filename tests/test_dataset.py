@@ -304,8 +304,10 @@ def test_histogram_empty_input():
 
 def test_histogram_hr_missing():
     p = make_patch(np.ones((2, 2), dtype=np.uint8))
-    with pytest.raises(ContainerError, match="no hr_labels"):
+    with pytest.raises(ValueError, match="lacks hr labels"):
         class_histogram([p], which="hr")
+    with pytest.raises(ValueError, match="label slot must be 'lr' or 'hr', got 'LR'"):
+        class_histogram([p], which="LR")
 
 
 def test_classes_per_patch_examples():

@@ -22,3 +22,6 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    # only the rendering demo keeps its output, so the images can be viewed
+    if demo.stem != "05_rendering_maps":
+        assert not list(tmp_path.glob("wlcbench-demo*"))

@@ -204,9 +204,9 @@ def test_fit_mask_equals_deletion_bitwise(rng):
 
 def test_fit_validation_errors(rng):
     X = rng.random((10, 2))
-    with pytest.raises(ValueError, match="no masked-in"):
+    with pytest.raises(ValueError, match="no valid, masked-in, labeled rows"):
         logreg_fit(X, np.zeros(10, dtype=np.uint8))
-    with pytest.raises(ValueError, match="no masked-in"):
+    with pytest.raises(ValueError, match="no valid, masked-in, labeled rows"):
         logreg_fit(X, np.ones(10, dtype=np.uint8), mask=np.zeros(10, bool))
     with pytest.raises(ValueError, match="length"):
         logreg_fit(X, np.ones(4, dtype=np.uint8))

@@ -15,7 +15,10 @@ from wlcbench.preprocess import (
     normalize_s1,
     normalize_s2,
     select_surface_bands,
+    training_rows,
 )
+from wlcbench.maskedlr import LogRegConfig, logreg_fit
+from wlcbench.shallow import kmeans_fit, rf_fit
 
 
 def normalize_oracle(x, lo, hi):
@@ -237,7 +240,46 @@ def test_feature_rows_checks_the_model_width():
         feature_rows(np.zeros(10), 10)
 
 
-def test_valid_values_filters():
-    lr = np.array([[1, 0]], dtype=np.uint8)
+def test_training_rows_filters():
+    lr = np.array([[1, 0, 2, 3]], dtype=np.uint8)
     fm = assemble_features(make_patch(lr), FusionConfig.from_string("s2"))
-    assert fm.valid_values().shape == (1, 10)
+    X, rows = training_rows(fm)
+    assert X is fm.values
+    np.testing.assert_array_equal(rows, [0, 2, 3])  # valid_mask drops the LR no-data
+    labels = np.array([1, 1, 0, 3])
+    mask = np.array([True, True, True, False])
+    np.testing.assert_array_equal(training_rows(fm, labels, mask)[1], [0])
+    np.testing.assert_array_equal(training_rows(fm.values, labels)[1], [0, 1, 3])
+    # a one-entry mask would broadcast over every row
+    with pytest.raises(ValueError, match="mask length 1 != feature rows 4"):
+        training_rows(fm, labels, mask[:1])
+    np.testing.assert_array_equal(fm.valid_mask, [True, False, True, True])  # left as it was
+
+
+def _fit(kind, features, labels):
+    if kind == "kmeans":
+        return kmeans_fit(features, k=1, n_init=1)
+    if kind == "rf":
+        return rf_fit(features, labels, n_trees=1, max_depth=1)
+    return logreg_fit(features, labels, config=LogRegConfig(epochs=1))
+
+
+@pytest.mark.parametrize("kind", ["rf", "logreg", "kmeans"])
+def test_fits_share_the_training_row_refusals(kind, rng):
+    X = rng.random((20, 3))
+    y = np.ones(20, dtype=np.uint8)
+    cases = [
+        (X[:, 0], y, "N×d features with d >= 1"),
+        (FeatureMatrix(X, np.zeros(20, dtype=bool)), y, "no valid, masked-in, labeled rows"),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        X_bad = X.copy()
+        X_bad[4, 2] = bad
+        cases.append((X_bad, y, "must be finite"))
+        # a row that is not selected is not part of the fit
+        _fit(kind, FeatureMatrix(X_bad, np.arange(20) != 4), y)
+    if kind != "kmeans":
+        cases.append((X, y[:5], "labels length 5 != feature rows 20"))
+    for features, labels, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _fit(kind, features, labels)

@@ -498,7 +498,7 @@ def test_rf_validates_hyperparameters(rng):
     with pytest.raises(ValueError, match="d >= 1"):
         rf_fit(np.zeros((20, 0)), y, n_trees=1)
     X[3, 1] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="finite"):
         rf_fit(X, y, n_trees=1)
 
 

@@ -243,6 +243,17 @@ def test_generate_scene_deterministic():
     assert a != other
 
 
+@pytest.mark.parametrize("seed", [0, 7, 19])
+def test_default_generators_are_the_seed_sequence_children(seed):
+    cfg = default_synth_config(size=16, block_factor=4, seed=seed)
+    scene = generate_scene(cfg)
+    explicit = generate_scene(cfg, seq=np.random.SeedSequence(seed))
+    assert patch_to_bytes(scene) == patch_to_bytes(explicit)
+    # degrade_labels' default generator is the scene's degradation generator
+    lr = degrade_labels(scene.hr_labels, cfg)
+    np.testing.assert_array_equal(lr.values, scene.lr_labels.values)
+
+
 def test_generate_scenes_prefix_stable():
     cfg = default_synth_config(size=16, seed=3)
     three = [patch_to_bytes(p) for p in generate_scenes(cfg, 3)]
