@@ -31,11 +31,12 @@ fusion = FusionConfig.from_string("s1s2")  # radar helps, and it costs one flag
 feats = FeatureMatrix.concat([assemble_features(p, fusion) for p in train])
 weak = np.concatenate([p.lr_labels.values.ravel() for p in train])
 keep = np.concatenate([trainable_mask(p.lr_labels).ravel() for p in train])
-print(f"training rows: {int((feats.valid_mask & keep).sum())} of {feats.n_rows} "
+feats = feats.with_mask(keep)  # Savanna and no-data never train a model
+print(f"training rows: {int(feats.valid_mask.sum())} of {feats.n_rows} "
       f"(d={feats.d})")
 
 # forest on a row subsample; trees don't need every pixel
-rows = np.flatnonzero(feats.valid_mask & keep)
+rows = np.flatnonzero(feats.valid_mask)
 sub = np.random.default_rng(0).choice(rows, size=16000, replace=False)
 forest = rf_fit(feats.values[sub], weak[sub], n_trees=15, max_depth=8, seed=0)
 print(f"forest: {forest.n_trees} trees, depth <= {forest.max_depth}")
@@ -46,7 +47,6 @@ ho = assemble_features(holdout_scene, fusion)
 logreg = logreg_fit(
     feats,
     weak,
-    mask=keep,
     config=LogRegConfig(learning_rate=0.5, epochs=15, seed=0),
     holdout=(ho.values, holdout_scene.hr_labels.values.ravel()),
 )

@@ -29,7 +29,7 @@ fusion = FusionConfig()
 feats = FeatureMatrix.concat([assemble_features(p, fusion) for p in train])
 weak = np.concatenate([p.lr_labels.values.ravel() for p in train])
 keep = np.concatenate([trainable_mask(p.lr_labels).ravel() for p in train])
-forest = rf_fit(feats, weak, mask=keep, n_trees=10, max_depth=8, seed=0)
+forest = rf_fit(feats.with_mask(keep), weak, n_trees=10, max_depth=8, seed=0)
 pred = rf_predict(forest, assemble_features(scene, fusion))
 predicted = LabelRaster(pred.reshape(scene.hr_labels.shape), Scheme.SIMPLIFIED10)
 

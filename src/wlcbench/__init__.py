@@ -5,55 +5,4 @@ setting where fine-resolution imagery is paired with coarse, partly wrong
 land-cover labels.
 """
 
-from .dataset import (
-    BandStack,
-    LabelRaster,
-    Patch,
-    Scheme,
-    SplitManifest,
-    SplitRole,
-    read_patch,
-    write_patch,
-)
-from .labels import (
-    IGBP_TO_SIMPLIFIED,
-    SAVANNA,
-    SIMPLIFIED_CLASS_NAMES,
-    SIMPLIFIED_PALETTE,
-    simplify_igbp,
-    trainable_mask,
-)
-from .maskedlr import LogRegConfig, LogRegModel, logreg_fit, logreg_predict, masked_ce_loss
-from .metrics import (
-    ConfusionMatrix,
-    MetricsReport,
-    TransitionMatrix,
-    confusion,
-    lr_vs_hr_eval,
-    report,
-    transition_matrix,
-)
-from .modelio import load_model, save_model
-from .preprocess import (
-    FeatureMatrix,
-    FusionConfig,
-    FusionMode,
-    assemble_features,
-    normalize_s1,
-    normalize_s2,
-)
-from .render import render_labels
-from .shallow import (
-    AssignmentSolution,
-    ForestModel,
-    KMeansModel,
-    align_clusters,
-    hungarian,
-    kmeans_fit,
-    kmeans_predict,
-    rf_fit,
-    rf_predict,
-)
-from .synth import SavannaRule, SynthConfig, default_synth_config, degrade_labels, generate_scene, generate_scenes
-
 __version__ = "0.1.0"

@@ -157,26 +157,30 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _check_train_flags(args) -> None:
-    """Refuse, before any data is read, hyperparameters that would leave an
-    untrained model or that the model file cannot hold."""
+def _check_train_flags(args) -> LogRegConfig | None:
+    """Refuse, before any data is read, hyperparameters that the model file
+    cannot hold, that the fit would refuse or that would leave an untrained
+    model. Returns the logreg config (None for the other models)."""
     if args.model == "kmeans":
-        k = {} if args.k is None else {"k": args.k}
-        modelio.check_fields(shallow.KMeansModel, seed=args.seed, **k)
-    elif args.model == "rf":
+        modelio.check_fields(shallow.KMeansModel, seed=args.seed)
+        if args.k is not None:
+            modelio.check_fields(shallow.KMeansModel, k=args.k)
+            shallow.check_k(args.k)
+        return None
+    if args.model == "rf":
         modelio.check_fields(
             shallow.ForestModel, n_trees=args.trees, max_depth=args.depth, seed=args.seed
         )
-    else:
-        if args.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {args.epochs}")
-        modelio.check_fields(
-            LogRegModel, learning_rate=args.lr, epochs=args.epochs, seed=args.seed
-        )
+        shallow.check_forest_size(args.trees, args.depth)
+        return None
+    if args.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {args.epochs}")
+    modelio.check_fields(LogRegModel, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    return LogRegConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    _check_train_flags(args)
+    config = _check_train_flags(args)
     _, patches = _load_split(args)
     fusion = FusionConfig.from_string(args.fusion)
     feats, lab = _features_and_labels(patches, fusion)
@@ -202,9 +206,6 @@ def cmd_train(args) -> int:
         )
         summary.update(trees=args.trees, depth=args.depth)
     else:
-        config = LogRegConfig(
-            learning_rate=args.lr, epochs=args.epochs, seed=args.seed
-        )
         model = logreg_fit(feats, lab, config=config)
         curve = "epoch,loss,holdout_aa\n" + "".join(
             f"{i},{v!r},\n" for i, v in enumerate(model.loss_curve)

@@ -85,8 +85,6 @@ def upsample_nearest(raster: LabelRaster, factor: int) -> LabelRaster:
     """Block-constant upsampling: output[i,j] = input[i//factor, j//factor]."""
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return LabelRaster(raster.values.copy(), raster.scheme)
     up = np.repeat(np.repeat(raster.values, factor, axis=0), factor, axis=1)
     return LabelRaster(up, raster.scheme)
 

@@ -30,8 +30,8 @@ class LogRegConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -95,21 +95,21 @@ def masked_ce_loss(
 def logreg_fit(
     features: FeatureMatrix | np.ndarray,
     labels: np.ndarray,
-    mask: np.ndarray | None = None,
     config: LogRegConfig = LogRegConfig(),
-    holdout: tuple[np.ndarray, np.ndarray] | None = None,
+    holdout: tuple[FeatureMatrix | np.ndarray, np.ndarray] | None = None,
 ) -> LogRegModel:
     """Mini-batch gradient descent from zero weights (the objective is convex,
     so the start point only affects the path, not the reachable optimum).
 
-    The effective training mask is the feature validity mask AND the caller's
-    mask AND label != 0. Rows are reshuffled each epoch from one derived
-    generator. The recorded loss curve holds the full-data masked loss after
-    each epoch. When a holdout (features, labels) pair is given, per-class
-    mean accuracy on its labeled pixels is tracked after each epoch and the
-    weights snapshot from the best epoch (earliest on ties) is returned.
+    The effective training mask is the feature validity mask AND label != 0.
+    Rows are reshuffled each epoch from one derived generator. The recorded
+    loss curve holds the full-data masked loss after each epoch. When a
+    holdout (features, labels) pair is given, it passes the same checks as
+    the training input plus the model width, per-class mean accuracy on its
+    valid, labeled rows is tracked after each epoch and the weights snapshot
+    from the best epoch (earliest on ties) is returned.
     """
-    X, train_idx = training_rows(features, labels, mask)
+    X, train_idx = training_rows(features, labels)
     labels = np.asarray(labels).ravel()
     d = X.shape[1]
     W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)
@@ -119,12 +119,13 @@ def logreg_fit(
 
     ho = None
     if holdout is not None:
-        ho_X = np.asarray(holdout[0], dtype=np.float64)
-        ho_y = np.asarray(holdout[1]).ravel()
-        keep = ho_y != 0
-        if not keep.any():
-            raise ValueError("holdout has no labeled pixels")
-        ho = (ho_X[keep], ho_y[keep].astype(np.int64))
+        ho_features, ho_labels = holdout
+        try:
+            ho_X, ho_rows = training_rows(ho_features, ho_labels)
+            ho_X = feature_rows(ho_X, d)[ho_rows]
+        except ValueError as exc:
+            raise ValueError(f"holdout: {exc}") from None
+        ho = (ho_X, np.asarray(ho_labels).ravel()[ho_rows].astype(np.int64))
 
     loss_curve: list[float] = []
     holdout_curve: list[float] = []

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import BandStack, Patch, S2_ALL_BANDS, S2_SURFACE_BANDS
+from .dataset import BandStack, N_SIMPLIFIED_CLASSES, Patch, S2_ALL_BANDS, S2_SURFACE_BANDS
 
 S1_CLIP = (-25.0, 0.0)
 S2_CLIP = (0.0, 1.0e4)
@@ -92,10 +92,8 @@ class FeatureMatrix:
     def with_mask(self, extra_mask: np.ndarray) -> "FeatureMatrix":
         """Return a copy whose validity mask is ANDed with extra_mask."""
         extra_mask = np.asarray(extra_mask, dtype=bool).ravel()
-        if extra_mask.shape != self.valid_mask.shape:
-            raise ValueError(
-                f"extra mask length {extra_mask.shape} != rows {self.valid_mask.shape}"
-            )
+        if len(extra_mask) != self.n_rows:
+            raise ValueError(f"mask length {len(extra_mask)} != feature rows {self.n_rows}")
         return FeatureMatrix(self.values, self.valid_mask & extra_mask)
 
     @classmethod
@@ -123,17 +121,16 @@ def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
 
 
 def training_rows(
-    features: FeatureMatrix | np.ndarray,
-    labels: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
+    features: FeatureMatrix | np.ndarray, labels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows a model may fit on: (X, rows), X every row of features as an
     N×d float64 array, rows the ascending indices of the selected rows.
 
-    A row is selected when it is valid (a FeatureMatrix's valid_mask), the
-    caller's mask is true and, when labels are given, its label is not 0
-    (no-data). Raises unless d >= 1, labels and mask have N entries, some
-    row is selected and every selected row is finite.
+    A row is selected when it is valid (a FeatureMatrix's valid_mask; mask
+    rows out of a fit with FeatureMatrix.with_mask) and, when labels are
+    given, its label is not 0 (no-data). Raises unless d >= 1, labels have
+    N entries in 0..10, some row is selected and every selected row is
+    finite.
     """
     is_matrix = isinstance(features, FeatureMatrix)
     X = features.values if is_matrix else np.asarray(features, dtype=np.float64)
@@ -144,12 +141,11 @@ def training_rows(
         labels = np.asarray(labels).ravel()
         if len(labels) != len(X):
             raise ValueError(f"labels length {len(labels)} != feature rows {len(X)}")
+        if ((labels < 0) | (labels > N_SIMPLIFIED_CLASSES)).any():
+            raise ValueError(
+                f"labels must be 0 (no-data) or simplified class ids 1..{N_SIMPLIFIED_CLASSES}"
+            )
         keep &= labels != 0
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool).ravel()
-        if len(mask) != len(X):
-            raise ValueError(f"mask length {len(mask)} != feature rows {len(X)}")
-        keep &= mask
     rows = np.flatnonzero(keep)
     if not len(rows):
         raise ValueError("no valid, masked-in, labeled rows to train on")

@@ -6,32 +6,21 @@ to downstream tooling.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .dataset import LabelRaster, N_SIMPLIFIED_CLASSES, Scheme
 from .labels import SIMPLIFIED_PALETTE
 
-
-def _palette_lut(palette: Sequence[str]) -> np.ndarray:
-    """11×3 uint8 lookup table; row 0 (no-data) renders black."""
-    if len(palette) != N_SIMPLIFIED_CLASSES:
-        raise ValueError(f"palette needs {N_SIMPLIFIED_CLASSES} entries, got {len(palette)}")
-    lut = np.zeros((N_SIMPLIFIED_CLASSES + 1, 3), dtype=np.uint8)
-    for i, hexcode in enumerate(palette):
-        code = hexcode.lstrip("#")
-        if len(code) != 6:
-            raise ValueError(f"bad palette entry {hexcode!r}")
-        lut[i + 1] = [int(code[j : j + 2], 16) for j in (0, 2, 4)]
-    return lut
+# 11×3 uint8 color per label id; row 0 (no-data) renders black.
+_LUT = np.zeros((N_SIMPLIFIED_CLASSES + 1, 3), dtype=np.uint8)
+_LUT[1:] = [list(bytes.fromhex(code)) for code in SIMPLIFIED_PALETTE]
 
 
-def render_labels(raster: LabelRaster, palette: Sequence[str] = SIMPLIFIED_PALETTE) -> bytes:
+def render_labels(raster: LabelRaster) -> bytes:
     """Binary PPM image of a simplified label raster, one pixel per label."""
     if raster.scheme is not Scheme.SIMPLIFIED10:
         raise ValueError("render_labels expects SIMPLIFIED10 labels; simplify first")
     raster.validate("render input")
     h, w = raster.shape
-    rgb = _palette_lut(palette)[raster.values]
+    rgb = _LUT[raster.values]
     return b"P6\n%d %d\n255\n" % (w, h) + rgb.tobytes()

@@ -97,6 +97,18 @@ def hungarian(cost) -> AssignmentSolution:
     return AssignmentSolution(assignment=assignment, total_cost=total)
 
 
+def _labeled(labels: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The labeled (non-zero), mask-true entries of labels, as a boolean
+    selection; raises unless mask has one entry per label."""
+    keep = labels != 0
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).ravel()
+        if len(mask) != len(labels):
+            raise ValueError(f"mask length {len(mask)} != labels length {len(labels)}")
+        keep &= mask
+    return keep
+
+
 def align_clusters(
     cluster_labels: np.ndarray,
     reference: np.ndarray,
@@ -112,9 +124,7 @@ def align_clusters(
     reference = np.asarray(reference).ravel()
     if cluster_labels.shape != reference.shape:
         raise ValueError("cluster_labels and reference must have equal length")
-    keep = reference != 0
-    if mask is not None:
-        keep &= np.asarray(mask, dtype=bool).ravel()
+    keep = _labeled(reference, mask)
     if not keep.any():
         raise ValueError("no valid pixels to align clusters against")
     clusters = cluster_labels[keep].astype(np.int64)
@@ -131,10 +141,7 @@ def default_k(labels: np.ndarray, mask: np.ndarray | None = None) -> int:
     """Default cluster count: the number of distinct class ids among the
     labeled (non-zero), mask-true pixels of the training reference."""
     labels = np.asarray(labels).ravel()
-    keep = labels != 0
-    if mask is not None:
-        keep &= np.asarray(mask, dtype=bool).ravel()
-    k = len(np.unique(labels[keep]))
+    k = len(np.unique(labels[_labeled(labels, mask)]))
     if k == 0:
         raise ValueError("no labeled pixels to derive k from")
     return k
@@ -255,6 +262,12 @@ def _lloyd(X, centroids, max_iter, terms):
     return centroids, history[-1], tuple(history)
 
 
+def check_k(k: int) -> None:
+    """kmeans_fit's cluster-count rule, callable before any data is read."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def kmeans_fit(
     features: FeatureMatrix | np.ndarray,
     k: int,
@@ -270,8 +283,7 @@ def kmeans_fit(
     of the distance formula are computed once here and shared by every
     seeding.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
     if max_iter < 1:
@@ -530,15 +542,22 @@ def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
     )
 
 
+def check_forest_size(n_trees: int, max_depth: int) -> None:
+    """rf_fit's tree-count and depth rules, callable before any data is read."""
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+
+
 def rf_fit(
     features: FeatureMatrix | np.ndarray,
     labels: np.ndarray,
-    mask: np.ndarray | None = None,
     n_trees: int = 100,
     max_depth: int = 10,
     seed: int = 0,
 ) -> ForestModel:
-    """Train a Gini random forest on the masked-in labeled pixels.
+    """Train a Gini random forest on the valid, labeled pixels.
 
     Each tree sees a same-size bootstrap sample and draws ceil(sqrt(d))
     candidate features per node from its own derived generator, so results
@@ -549,15 +568,9 @@ def rf_fit(
     midpoint between the two values the cut separates. A node becomes a leaf
     at max_depth, when it is pure, or when its drawn features are constant.
     """
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    X_all, rows = training_rows(features, labels, mask)
-    y = np.asarray(labels).ravel()[rows]
-    if ((y < 1) | (y > N_SIMPLIFIED_CLASSES)).any():
-        raise ValueError("labels must be simplified class ids 1..10")
-    y = y.astype(np.uint8)
+    check_forest_size(n_trees, max_depth)
+    X_all, rows = training_rows(features, labels)
+    y = np.asarray(labels).ravel()[rows].astype(np.uint8)
     # Equal values share a rank, so sorting ranks sorts values; the ranks
     # fit 32 bits and sort by 16-bit radix passes in every tree.
     n, d = len(rows), X_all.shape[1]

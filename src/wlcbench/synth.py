@@ -112,8 +112,8 @@ class SynthConfig:
                 raise ValueError("class_weights must match class_ids")
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("class_weights must be positive and finite")
-            # stored verbatim (normalized only at sampling time) so that the
-            # JSON round trip reproduces the config bit for bit
+            # stored verbatim (normalized only at sampling time) so that
+            # to_json records the weights as given
             object.__setattr__(self, "class_weights", tuple(w.tolist()))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
@@ -142,27 +142,6 @@ class SynthConfig:
                 "savanna_rule": rule,
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthConfig":
-        raw = json.loads(text)
-        rule = raw.get("savanna_rule", {})
-        weights = tuple(entry.get("weight") for entry in raw["classes"])
-        return cls(
-            size=raw["size"],
-            seed=raw["seed"],
-            n_seeds_voronoi=raw["n_seeds_voronoi"],
-            class_ids=tuple(entry["id"] for entry in raw["classes"]),
-            class_means=tuple(tuple(entry["mean"]) for entry in raw["classes"]),
-            class_weights=None if all(w is None for w in weights) else weights,
-            sigma=raw["sigma"],
-            block_factor=raw["block_factor"],
-            p_flip=raw["p_flip"],
-            savanna_rule=SavannaRule(
-                trigger=tuple(rule.get("trigger", (1, 4))),
-                p_sav=rule.get("p_sav", 0.5),
-            ),
         )
 
 
@@ -327,13 +306,13 @@ def generate_scene(
     )
 
 
-def generate_scenes(config: SynthConfig, n_scenes: int, id_prefix: str = "scene") -> list[Patch]:
-    """n scenes with ids `{prefix}-00000` onward, each from its own child
+def generate_scenes(config: SynthConfig, n_scenes: int) -> list[Patch]:
+    """n scenes with ids `scene-00000` onward, each from its own child
     seed of config.seed; scene i is independent of how many scenes follow."""
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     parent = np.random.SeedSequence(config.seed)
     return [
-        generate_scene(config, patch_id=f"{id_prefix}-{i:05d}", seq=kid)
+        generate_scene(config, patch_id=f"scene-{i:05d}", seq=kid)
         for i, kid in enumerate(parent.spawn(n_scenes))
     ]

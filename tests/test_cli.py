@@ -22,7 +22,6 @@ from wlcbench.dataset import (
 from wlcbench.labels import SAVANNA
 from wlcbench.modelio import load_model
 from wlcbench.shallow import ForestModel, KMeansModel
-from wlcbench.synth import SynthConfig
 
 SPLIT = ["--size", "32", "--block-factor", "8", "--n-scenes", "4", "--seed", "0"]
 
@@ -62,8 +61,8 @@ def test_synth_writes_split(split_dir, capsys):
     assert manifest.role.value == "train"
     assert len(manifest.patch_ids) == 4
 
-    cfg = SynthConfig.from_json((split_dir / "synth-config.json").read_text())
-    assert cfg.size == 32 and cfg.seed == 0
+    cfg = json.loads((split_dir / "synth-config.json").read_text())
+    assert cfg["size"] == 32 and cfg["seed"] == 0
 
     patches = list(iter_patches(manifest, split_dir))
     for p in patches:
@@ -359,6 +358,11 @@ def test_train_rejects_bad_forest_hyperparameters(
         (["--model", "logreg", "--epochs", str(2**32)], "epochs"),
         (["--model", "logreg", "--lr", "1e39"], "learning_rate"),
         (["--model", "logreg", "--seed", str(2**63)], "seed"),
+        (["--model", "rf", "--trees", "0"], "n_trees must be >= 1"),
+        (["--model", "kmeans", "--k", "0"], "k must be >= 1"),
+        (["--model", "logreg", "--lr", "0"], "learning_rate must be finite and > 0"),
+        (["--model", "logreg", "--lr", "inf"], "learning_rate must be finite and > 0"),
+        (["--model", "logreg", "--lr", "nan"], "learning_rate must be finite and > 0"),
     ],
 )
 def test_train_refuses_unsavable_hyperparameters_before_fitting(
@@ -367,9 +371,13 @@ def test_train_refuses_unsavable_hyperparameters_before_fitting(
     def no_fit(*args, **kwargs):
         raise AssertionError("fitting started")
 
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read")
+
     for name in ("kmeans_fit", "rf_fit"):
         monkeypatch.setattr(cli.shallow, name, no_fit)
     monkeypatch.setattr(cli, "logreg_fit", no_fit)
+    monkeypatch.setattr(cli, "load_manifest", no_data)
     path = tmp_path / "m.wlcm"
     code, out, err = run(
         capsys, "train", *split_args(split_dir), *flags, "--out", str(path)

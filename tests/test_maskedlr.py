@@ -206,15 +206,17 @@ def test_fit_validation_errors(rng):
     X = rng.random((10, 2))
     with pytest.raises(ValueError, match="no valid, masked-in, labeled rows"):
         logreg_fit(X, np.zeros(10, dtype=np.uint8))
+    masked_out = FeatureMatrix(X, np.ones(10, bool)).with_mask(np.zeros(10, bool))
     with pytest.raises(ValueError, match="no valid, masked-in, labeled rows"):
-        logreg_fit(X, np.ones(10, dtype=np.uint8), mask=np.zeros(10, bool))
+        logreg_fit(masked_out, np.ones(10, dtype=np.uint8))
     with pytest.raises(ValueError, match="length"):
         logreg_fit(X, np.ones(4, dtype=np.uint8))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LogRegConfig(learning_rate=0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            LogRegConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         LogRegConfig(batch_size=0)
     with pytest.raises(ValueError):
@@ -250,6 +252,33 @@ def test_holdout_snapshot_equals_truncated_run(rng):
     retrace = logreg_fit(X, y, config=shorter)
     np.testing.assert_array_equal(model.weights, retrace.weights)
     np.testing.assert_array_equal(model.bias, retrace.bias)
+
+
+def test_holdout_is_checked_like_training_input(rng):
+    X, y = separable(rng)
+    config = LogRegConfig(epochs=2)
+    nan_X = X.copy()
+    nan_X[3, 0] = np.nan
+    y_11 = y.copy()
+    y_11[0] = 11
+    cases = [
+        ((X, y[:5]), "holdout: labels length 5 != feature rows 60"),
+        ((X[:, 0], y), "holdout: expected N×d features"),
+        ((np.hstack([X, X]), y), "holdout: feature dimension d=2 != model dimension d=1"),
+        ((nan_X, y), "holdout: training features must be finite"),
+        ((X, y_11), "holdout: labels must be 0 .no-data. or simplified class ids 1..10"),
+    ]
+    for holdout, message in cases:
+        with pytest.raises(ValueError, match=message):
+            logreg_fit(X, y, config=config, holdout=holdout)
+    # a FeatureMatrix holdout scores its valid rows only
+    masked = logreg_fit(
+        X, y, config=config, holdout=(FeatureMatrix(nan_X, np.arange(60) != 3), y)
+    )
+    deleted = logreg_fit(
+        X, y, config=config, holdout=(np.delete(X, 3, axis=0), np.delete(y, 3))
+    )
+    assert masked.holdout_curve == deleted.holdout_curve
 
 
 def test_holdout_requires_labeled_pixels(rng):

@@ -248,11 +248,11 @@ def test_training_rows_filters():
     np.testing.assert_array_equal(rows, [0, 2, 3])  # valid_mask drops the LR no-data
     labels = np.array([1, 1, 0, 3])
     mask = np.array([True, True, True, False])
-    np.testing.assert_array_equal(training_rows(fm, labels, mask)[1], [0])
+    np.testing.assert_array_equal(training_rows(fm.with_mask(mask), labels)[1], [0])
     np.testing.assert_array_equal(training_rows(fm.values, labels)[1], [0, 1, 3])
     # a one-entry mask would broadcast over every row
     with pytest.raises(ValueError, match="mask length 1 != feature rows 4"):
-        training_rows(fm, labels, mask[:1])
+        fm.with_mask(mask[:1])
     np.testing.assert_array_equal(fm.valid_mask, [True, False, True, True])  # left as it was
 
 
@@ -280,6 +280,10 @@ def test_fits_share_the_training_row_refusals(kind, rng):
         _fit(kind, FeatureMatrix(X_bad, np.arange(20) != 4), y)
     if kind != "kmeans":
         cases.append((X, y[:5], "labels length 5 != feature rows 20"))
+        # a label outside the scheme is refused even on a row that is not selected
+        y_bad = y.copy()
+        y_bad[4] = 11
+        cases.append((FeatureMatrix(X, np.arange(20) != 4), y_bad, "1..10"))
     for features, labels, message in cases:
         with pytest.raises(ValueError, match=message):
             _fit(kind, features, labels)

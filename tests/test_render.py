@@ -74,15 +74,3 @@ def test_rejects_illegal_class_id():
     with pytest.raises(ValueError, match="illegal class id"):
         render_labels(bad)
 
-
-def test_rejects_bad_palette():
-    r = raster([[1]])
-    with pytest.raises(ValueError, match="entries"):
-        render_labels(r, palette=("009900",))
-    with pytest.raises(ValueError, match="bad palette"):
-        render_labels(r, palette=("00990",) * 10)
-
-
-def test_accepts_hash_prefixed_palette():
-    blob = render_labels(raster([[1]]), palette=("#ff0000",) + SIMPLIFIED_PALETTE[1:])
-    assert blob.endswith(b"\xff\x00\x00")

@@ -212,6 +212,14 @@ def test_default_k():
         default_k(np.array([0, 0]))
 
 
+def test_label_masks_must_have_one_entry_per_label():
+    # a one-entry mask would broadcast over every label
+    with pytest.raises(ValueError, match="mask length 1 != labels length 4"):
+        default_k(np.array([1, 2, 3, 1]), mask=np.array([True]))
+    with pytest.raises(ValueError, match="mask length 1 != labels length 3"):
+        align_clusters(np.array([0, 1, 1]), np.array([4, 9, 9]), mask=[True])
+
+
 # --- k-means -----------------------------------------------------------------
 
 def test_kmeans_k_equals_n_gives_zero_inertia(rng):
@@ -460,8 +468,9 @@ def test_rf_masking_and_validation(rng):
     with pytest.raises(ValueError, match="no valid"):
         rf_fit(X, y, n_trees=1)
     y[:] = 3
+    masked_out = FeatureMatrix(X, np.ones(20, bool)).with_mask(np.zeros(20, bool))
     with pytest.raises(ValueError, match="no valid"):
-        rf_fit(X, y, mask=np.zeros(20, bool), n_trees=1)
+        rf_fit(masked_out, y, n_trees=1)
     with pytest.raises(ValueError, match="length"):
         rf_fit(X, y[:10], n_trees=1)
     with pytest.raises(ValueError, match="1..10"):
@@ -473,8 +482,8 @@ def test_rf_mask_excludes_contaminating_labels(rng):
     X = rng.random((40, 2))
     y = np.full(40, 2, dtype=np.uint8)
     y[30:] = 9
-    mask = np.arange(40) < 30
-    model = rf_fit(X, y, mask=mask, n_trees=3, max_depth=3, seed=0)
+    fm = FeatureMatrix(X, np.ones(40, bool)).with_mask(np.arange(40) < 30)
+    model = rf_fit(fm, y, n_trees=3, max_depth=3, seed=0)
     assert (rf_predict(model, X) == 2).all()
 
 

@@ -1,5 +1,7 @@
 """Scene generation: Voronoi truth, radiometry, and the label degradation chain."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,11 +90,17 @@ def test_weights_kept_verbatim_and_scale_invariant():
     assert patch_to_bytes(generate_scene(cfg)) == patch_to_bytes(generate_scene(scaled))
 
 
-def test_config_json_roundtrip():
-    cfg = default_synth_config(seed=42, size=64)
-    assert SynthConfig.from_json(cfg.to_json()) == cfg
-    bare = tiny_config()  # no weights
-    assert SynthConfig.from_json(bare.to_json()) == bare
+def test_config_to_json_fields():
+    cfg = default_synth_config(seed=42, size=64, p_sav=0.25)
+    doc = json.loads(cfg.to_json())
+    assert (doc["size"], doc["seed"], doc["n_seeds_voronoi"]) == (64, 42, 10)
+    assert (doc["sigma"], doc["block_factor"], doc["p_flip"]) == (0.02, 16, 0.05)
+    assert doc["savanna_rule"] == {"trigger": [1, 4], "p_sav": 0.25}
+    assert [c["id"] for c in doc["classes"]] == list(cfg.class_ids)
+    assert [tuple(c["mean"]) for c in doc["classes"]] == list(cfg.class_means)
+    assert tuple(c["weight"] for c in doc["classes"]) == cfg.class_weights
+    bare = json.loads(tiny_config().to_json())  # no weights
+    assert [c["weight"] for c in bare["classes"]] == [None] * 3
 
 
 # --- degradation -------------------------------------------------------------
