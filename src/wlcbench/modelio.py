@@ -140,15 +140,38 @@ def _forest_payload(model: ForestModel) -> bytes:
     return b"".join(parts)
 
 
+def _check_tree(t: int, feature, left, right, n_features: int) -> None:
+    """Raise ModelIOError unless tree t is a binary tree numbered in
+    pre-order, with leaves marked by feature -1 and links -1, so routing
+    ends at a leaf of the same tree after at most n_nodes - 1 steps."""
+    n = len(feature)
+    if n < 1:
+        raise ModelIOError(f"tree {t} has no nodes")
+    if feature.min() < -1 or feature.max() >= n_features:
+        raise ModelIOError(f"tree {t} splits on a feature outside -1..{n_features - 1}")
+    leaf = feature < 0
+    if (left[leaf] != -1).any() or (right[leaf] != -1).any():
+        raise ModelIOError(f"tree {t} has a leaf with children")
+    inner = np.flatnonzero(~leaf)
+    kids = np.concatenate([left[inner], right[inner]])
+    if ((kids <= np.tile(inner, 2)) | (kids >= n)).any():
+        raise ModelIOError(f"tree {t} links a node to a child outside (node, {n})")
+    if (np.bincount(kids, minlength=n)[1:] != 1).any():
+        raise ModelIOError(f"tree {t} has a non-root node without exactly one parent")
+
+
 def _forest_from(r: _Reader) -> ForestModel:
     n_trees, max_depth, n_features, seed = r.unpack(_header_format(KIND_FOREST))
+    if n_trees < 1:
+        raise ModelIOError("a forest needs at least one tree")
     trees = []
-    for _ in range(n_trees):
+    for t in range(n_trees):
         (n_nodes,) = r.unpack("I")
         feature = r.array("<i2", n_nodes).copy()
         threshold = r.array("<f4", n_nodes).astype(np.float64)
         left = r.array("<i4", n_nodes).copy()
         right = r.array("<i4", n_nodes).copy()
+        _check_tree(t, feature, left, right, n_features)
         probs = r.array("<f4", n_nodes * N_SIMPLIFIED_CLASSES).astype(np.float64)
         probs = probs.reshape(n_nodes, N_SIMPLIFIED_CLASSES)
         trees.append(

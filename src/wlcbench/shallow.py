@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .preprocess import FeatureMatrix, feature_rows, training_rows
 _INERTIA_SLACK = 1e-12
 
 _ASSIGN_CHUNK = 262144  # rows per distance block, bounds peak memory
+_ROUTE_CHUNK = 4096  # rows routed through every tree at once; state stays in cache
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +363,19 @@ class Tree:
         return len(self.feature)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestModel:
     trees: tuple[Tree, ...]
     n_trees: int
     max_depth: int
     n_features: int
     seed: int
+
+    @cached_property
+    def nodes(self) -> NodeTable:
+        """The trees stacked into one table, built on first use. The model
+        is frozen, so the table cannot go stale."""
+        return _stack_trees(self.trees)
 
 
 # Cuts whose Gini proxy lies within this relative distance of the best proxy
@@ -593,24 +601,74 @@ def rf_fit(
     )
 
 
-def tree_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Vectorized root-to-leaf routing; returns the leaf probability rows."""
-    node = np.zeros(len(X), dtype=np.int32)
-    active = np.flatnonzero(tree.feature[node] >= 0)
-    while len(active):
-        cur = node[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-        active = active[tree.feature[node[active]] >= 0]
-    return tree.probs[node]
+@dataclass(frozen=True)
+class NodeTable:
+    """Every tree of a forest in one node table, so rows step through all
+    trees at once.
+
+    Tree t's nodes follow those of the trees before it and start at
+    roots[t]. A row at node i moves to child[2*i + 1] (left) when its value
+    of feature[i] is <= threshold[i], else to child[2*i] (right), so a NaN
+    goes right. A leaf has feature 0, threshold +inf and itself as both
+    children: a row that reaches it stays. After ``depth`` steps, the
+    deepest tree's depth, every row is at a leaf.
+    """
+
+    feature: np.ndarray    # intp
+    threshold: np.ndarray  # float64
+    child: np.ndarray      # intp, two slots per node
+    probs: np.ndarray      # n_nodes×10 float64
+    roots: np.ndarray      # intp, one per tree
+    depth: int
+
+
+def _stack_trees(trees: tuple[Tree, ...]) -> NodeTable:
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+    offset = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
+    leaf = feature < 0
+    own = np.arange(len(feature))
+    child = np.empty(2 * len(feature), dtype=np.intp)
+    child[1::2] = np.where(leaf, own, np.concatenate([t.left for t in trees]) + offset)
+    child[0::2] = np.where(leaf, own, np.concatenate([t.right for t in trees]) + offset)
+    # Pre-order numbering puts children after their parent, so one pass per
+    # level finds the depth without recursion.
+    depth, level = 0, roots
+    while len(level := level[~leaf[level]]):
+        level = child[2 * level[:, None] + (0, 1)].ravel()
+        depth += 1
+    return NodeTable(
+        feature=np.where(leaf, 0, feature),
+        threshold=np.where(leaf, np.inf, np.concatenate([t.threshold for t in trees])),
+        child=child,
+        probs=np.vstack([tree.probs for tree in trees]),
+        roots=roots,
+        depth=depth,
+    )
 
 
 def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Mean leaf probability vector across the ensemble, in tree order."""
+    """Mean leaf probability vector across the ensemble, summed in tree order.
+
+    Each chunk of rows steps through every tree at once: one gather finds
+    each (row, tree) pair's feature value and one picks its next node.
+    """
     X = feature_rows(features, model.n_features)
-    acc = np.zeros((len(X), N_SIMPLIFIED_CLASSES), dtype=np.float64)
-    for tree in model.trees:
-        acc += tree_apply(tree, X)
+    table = model.nodes
+    n, d = X.shape
+    acc = np.zeros((n, N_SIMPLIFIED_CLASSES), dtype=np.float64)
+    for start in range(0, n, _ROUTE_CHUNK):
+        m = min(_ROUTE_CHUNK, n - start)
+        flat = np.ascontiguousarray(X[start : start + m]).ravel()
+        row_base = np.arange(0, m * d, d)[:, None]
+        node = np.tile(table.roots, (m, 1))
+        for _ in range(table.depth):
+            vals = flat.take(row_base + table.feature.take(node))
+            node = table.child.take(2 * node + (vals <= table.threshold.take(node)))
+        out = acc[start : start + m]
+        for leaves in node.T:
+            out += table.probs.take(leaves, axis=0)
     return acc / model.n_trees
 
 

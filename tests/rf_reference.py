@@ -1,9 +1,13 @@
-"""Reference random-forest grower for tests.
+"""Reference random-forest grower and router for tests.
 
-It argsorts each drawn feature at every node, scores every cut with a float
-one-hot cumulative sum and recurses: slow, but plain enough to check by eye.
-``reference_trees`` must produce the same trees, field for field, as
+The grower argsorts each drawn feature at every node, scores every cut with
+a float one-hot cumulative sum and recurses: slow, but plain enough to check
+by eye. ``reference_trees`` must produce the same trees, field for field, as
 ``wlcbench.shallow.rf_fit`` on the same training rows and seed.
+
+The router sends rows down one tree at a time, shrinking the set of rows
+still at internal nodes after every level. ``reference_proba`` must give
+the same probabilities, bit for bit, as ``wlcbench.shallow.rf_predict_proba``.
 """
 
 import math
@@ -108,3 +112,24 @@ def reference_trees(X, y, n_trees, max_depth, seed):
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X, y, boot, max_depth, m_try, rng))
     return trees
+
+
+def tree_apply(tree, X):
+    """Vectorized root-to-leaf routing; returns the leaf probability rows."""
+    node = np.zeros(len(X), dtype=np.int32)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while len(active):
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active = active[tree.feature[node[active]] >= 0]
+    return tree.probs[node]
+
+
+def reference_proba(model, X):
+    """Leaf probability rows summed over the trees in tree order, then
+    divided by the tree count."""
+    acc = np.zeros((len(X), K_CLASSES), dtype=np.float64)
+    for tree in model.trees:
+        acc += tree_apply(tree, X)
+    return acc / model.n_trees

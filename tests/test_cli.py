@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from wlcbench import cli
+from wlcbench import cli, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -20,8 +20,8 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import SAVANNA
-from wlcbench.modelio import load_model
-from wlcbench.shallow import ForestModel, KMeansModel
+from wlcbench.modelio import load_model, model_to_bytes
+from wlcbench.shallow import ForestModel, KMeansModel, Tree
 
 SPLIT = ["--size", "32", "--block-factor", "8", "--n-scenes", "4", "--seed", "0"]
 
@@ -451,6 +451,51 @@ def test_fusion_mismatch_fails(split_dir, tmp_path, capsys, model):
     assert single_json_error(err)["error"] == (
         "feature dimension d=12 != model dimension d=10"
     )
+
+
+def test_predict_builds_the_forest_node_table_once(
+    rf_model_file, tmp_path, capsys, monkeypatch
+):
+    d = tmp_path / "three"
+    assert main([
+        "synth", "--out", str(d), "--size", "32", "--block-factor", "8",
+        "--n-scenes", "3", "--seed", "5",
+    ]) == 0
+    builds = []
+    stack = shallow._stack_trees
+
+    def counted(trees):
+        builds.append(trees)
+        return stack(trees)
+
+    monkeypatch.setattr(shallow, "_stack_trees", counted)
+    code, out, _ = run(
+        capsys, "predict", *split_args(d), "--model-file", str(rf_model_file),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 0
+    assert last_json(out)["patches"] == 3
+    assert len(builds) == 1 and len(builds[0]) == 5
+
+
+def test_predict_refuses_a_forest_whose_root_links_itself(split_dir, tmp_path, capsys):
+    tree = Tree(
+        feature=np.array([0, -1, -1], dtype=np.int16),
+        threshold=np.zeros(3),
+        left=np.array([0, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1], dtype=np.int32),
+        probs=np.full((3, 10), 0.1),
+    )
+    path = tmp_path / "loop.wlcm"
+    path.write_bytes(model_to_bytes(ForestModel((tree,), 1, 1, 10, 0)))
+    code, out, err = run(
+        capsys, "predict", *split_args(split_dir), "--model-file", str(path),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "child outside" in single_json_error(err)["error"]
+    assert not (tmp_path / "pred").exists()
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,8 @@ from wlcbench.modelio import (
     save_model,
 )
 from wlcbench.shallow import (
+    ForestModel,
+    Tree,
     align_clusters,
     kmeans_cluster_ids,
     kmeans_fit,
@@ -25,6 +27,19 @@ from wlcbench.shallow import (
     rf_fit,
     rf_predict,
 )
+
+
+def forest_bytes(feature, left, right, n_features=12):
+    """A one-tree forest file with the given node links, written unchecked."""
+    n = len(feature)
+    tree = Tree(
+        feature=np.array(feature, dtype=np.int16),
+        threshold=np.zeros(n),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        probs=np.full((n, 10), 0.1),
+    )
+    return model_to_bytes(ForestModel((tree,), 1, 1, n_features, 0))
 
 
 def f32(x):
@@ -190,3 +205,38 @@ def test_trailing_bytes_rejected(logreg_model):
 def test_unsupported_model_type():
     with pytest.raises(ModelIOError, match="unsupported"):
         model_to_bytes(object())
+
+
+def test_well_formed_hand_built_forest_loads():
+    model = model_from_bytes(forest_bytes([3, -1, -1], [1, -1, -1], [2, -1, -1]))
+    np.testing.assert_array_equal(model.trees[0].left, [1, -1, -1])
+
+
+@pytest.mark.parametrize(
+    "feature, left, right, message",
+    [
+        ([], [], [], "no nodes"),
+        ([0, -1, -1], [0, -1, -1], [2, -1, -1], "child outside"),
+        ([0, -1, -1], [10**6, -1, -1], [2, -1, -1], "child outside"),
+        ([0, -1, 0, -1], [1, -1, 1, -1], [2, -1, 3, -1], "child outside"),
+        ([99, -1, -1], [1, -1, -1], [2, -1, -1], "feature outside -1..11"),
+        ([-2, -1, -1], [1, -1, -1], [2, -1, -1], "feature outside"),
+        ([0, -1, -1], [1, 2, -1], [2, -1, -1], "leaf with children"),
+        ([0, 0, -1, -1], [1, 2, -1, -1], [3, 3, -1, -1], "exactly one parent"),
+        ([0, -1, -1, -1], [1, -1, -1, -1], [2, -1, -1, -1], "exactly one parent"),
+    ],
+    ids=[
+        "no-nodes", "root-links-itself", "child-past-the-end", "child-before-parent",
+        "feature-too-high", "feature-below-leaf-mark", "leaf-with-children",
+        "two-parents", "no-parent",
+    ],
+)
+def test_malformed_forest_structure_rejected(feature, left, right, message):
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(forest_bytes(feature, left, right))
+
+
+def test_forest_without_trees_rejected():
+    blob = model_to_bytes(ForestModel((), 0, 1, 12, 0))
+    with pytest.raises(ModelIOError, match="at least one tree"):
+        model_from_bytes(blob)

@@ -1,5 +1,6 @@
 """Assignment solver, cluster alignment, k-means, and the random forest."""
 
+import dataclasses
 import itertools
 import sys
 from unittest import mock
@@ -22,13 +23,12 @@ from wlcbench.shallow import (
     rf_fit,
     rf_predict,
     rf_predict_proba,
-    tree_apply,
 )
 from wlcbench import shallow
 from wlcbench.shallow import _lloyd, _row_terms, _stable_order
 import kmeans_reference
 from kmeans_reference import reference_kmeans, reference_lloyd, reference_nearest
-from rf_reference import reference_trees
+from rf_reference import reference_proba, reference_trees, tree_apply
 
 
 def assignment_oracle(cost):
@@ -416,7 +416,70 @@ def test_rf_proba_is_mean_over_trees(rng):
     model = rf_fit(X, y, n_trees=5, max_depth=3, seed=4)
     Q = rng.random((10, 2))
     manual = sum(tree_apply(t, Q) for t in model.trees) / 5
-    np.testing.assert_allclose(rf_predict_proba(model, Q), manual, atol=1e-15)
+    np.testing.assert_array_equal(rf_predict_proba(model, Q), manual)
+
+
+def with_special_values(X, rng):
+    """X with NaN, +inf and -inf scattered over its cells."""
+    X = X.copy()
+    for value in (np.nan, np.inf, -np.inf):
+        X[rng.random(X.shape) < 0.05] = value
+    return X
+
+
+@pytest.fixture
+def uneven_forest(rng):
+    """Four trees grown to depths 6, 0, 2 and 9 on three features."""
+    X = rng.random((400, 3))
+    y = rng.integers(1, 7, 400).astype(np.uint8)
+    trees = [
+        rf_fit(X, y, n_trees=1, max_depth=depth, seed=depth).trees[0] for depth in (6, 0, 2, 9)
+    ]
+    return ForestModel(tuple(trees), 4, 9, 3, 0)
+
+
+def test_node_table_depth_is_the_deepest_tree(uneven_forest):
+    depths = [tree_depth(tree) for tree in uneven_forest.trees]
+    assert depths[1] == 0 and len(set(depths)) == 4
+    assert uneven_forest.nodes.depth == max(depths)
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [0, 300, shallow._ROUTE_CHUNK - 1, shallow._ROUTE_CHUNK, shallow._ROUTE_CHUNK + 1],
+)
+def test_rf_proba_matches_the_reference_with_nan_and_infinities(
+    uneven_forest, rng, n_rows
+):
+    Q = with_special_values(rng.random((n_rows, 3)), rng)
+    Q[:3] = np.array([np.nan, np.inf, -np.inf])[: len(Q), None]
+    got = rf_predict_proba(uneven_forest, Q)
+    assert got.shape == (n_rows, 10) and np.isfinite(got).all()
+    np.testing.assert_array_equal(got, reference_proba(uneven_forest, Q))
+
+
+@pytest.mark.parametrize("n_trees, max_depth", [(3, 0), (1, 5)])
+def test_rf_proba_matches_the_reference_for_stumps_and_single_trees(
+    rng, n_trees, max_depth
+):
+    X = rng.random((200, 4))
+    y = rng.integers(1, 5, 200).astype(np.uint8)
+    model = rf_fit(X, y, n_trees=n_trees, max_depth=max_depth, seed=3)
+    assert model.nodes.depth == max(tree_depth(tree) for tree in model.trees)
+    Q = with_special_values(rng.random((500, 4)), rng)
+    np.testing.assert_array_equal(rf_predict_proba(model, Q), reference_proba(model, Q))
+
+
+def test_replaced_forest_gets_its_own_node_table(uneven_forest, rng):
+    table = uneven_forest.nodes
+    assert uneven_forest.nodes is table
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        uneven_forest.trees = uneven_forest.trees[:1]
+    fewer = dataclasses.replace(uneven_forest, trees=uneven_forest.trees[2:], n_trees=2)
+    assert fewer.nodes is not table
+    assert len(fewer.nodes.roots) == 2
+    Q = rng.random((50, 3))
+    np.testing.assert_array_equal(rf_predict_proba(fewer, Q), reference_proba(fewer, Q))
 
 
 def test_rf_respects_depth_bound(rng):
@@ -582,6 +645,31 @@ def test_rf_fit_matches_the_per_node_sorting_reference(data, max_depth, n_trees,
         for got, want in zip(fields, ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=tie_heavy_training_sets(),
+    max_depth=st.integers(0, 6),
+    n_trees=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    queries=st.lists(
+        st.lists(
+            st.sampled_from(_LEVELS + (np.nan, np.inf, -np.inf)), min_size=5, max_size=5
+        ),
+        max_size=30,
+    ),
+)
+def test_rf_proba_matches_the_one_tree_at_a_time_reference(
+    data, max_depth, n_trees, seed, queries
+):
+    X, y = data
+    model = rf_fit(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    Q = np.array(queries, dtype=np.float64).reshape(-1, 5)[:, : X.shape[1]]
+    for rows in (X, Q):
+        np.testing.assert_array_equal(
+            rf_predict_proba(model, rows), reference_proba(model, rows)
+        )
 
 
 @pytest.mark.parametrize("data_seed", [379, 455, 826])
