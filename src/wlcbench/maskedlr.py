@@ -13,13 +13,19 @@ at predict time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
 from .labels import SAVANNA
-from .preprocess import FeatureMatrix, feature_rows, training_rows
+from .preprocess import FeatureMatrix, are_class_ids, feature_rows, training_rows
+
+# Rows per logit product in the epoch loss pass. At multiples of 64 the rows
+# of a chunked product matched one full-data product bit for bit on OpenBLAS
+# (tests/logreg_reference.py is the check), so the loss curve keeps its bits.
+_LOSS_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,12 @@ class LogRegConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -57,6 +69,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _ce_terms(logp: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Each row's log-probability of its label; y0 holds 0-based class slots."""
+    return logp[np.arange(len(y0)), y0]
+
+
+def _ce_grad(logp: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Logit gradient of the mean cross-entropy over these M rows,
+    (softmax - onehot)/M, computed in place of exp(logp)."""
+    delta = np.exp(logp)
+    delta[np.arange(len(y0)), y0] -= 1.0
+    delta /= len(y0)
+    return delta
+
+
 def masked_ce_loss(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -79,17 +105,37 @@ def masked_ce_loss(
     m = int(mask.sum())
     if m == 0:
         raise ValueError("mask selects no pixels; loss undefined for M == 0")
-    y = labels[mask].astype(np.int64)
-    if (y < 1).any() or (y > N_SIMPLIFIED_CLASSES).any():
+    y = labels[mask]
+    if not are_class_ids(y, 1):
         raise ValueError("masked-in labels must be class ids 1..10")
+    y0 = y.astype(np.int64) - 1
     logp = _log_softmax(logits[mask])
-    rows = np.arange(m)
-    loss = float(-logp[rows, y - 1].sum() / m)
+    loss = float(-_ce_terms(logp, y0).sum() / m)
     grad = np.zeros_like(logits)
-    delta = np.exp(logp)
-    delta[rows, y - 1] -= 1.0
-    grad[mask] = delta / m
+    grad[mask] = _ce_grad(logp, y0)
     return loss, grad
+
+
+def _mean_ce(
+    X: np.ndarray, rows: np.ndarray, y0: np.ndarray, W: np.ndarray, b: np.ndarray
+) -> float:
+    """Mean cross-entropy of the model (W, b) over X[rows], whose 0-based
+    label slots are y0, with no gradient. The logits are formed _LOSS_CHUNK
+    rows at a time and each row's term is kept in one vector, which is then
+    summed once: the same values and the same sum as one full-data pass."""
+    n = len(rows)
+    terms = np.empty(n)
+    start = 0
+    while start < n:
+        stop = start + _LOSS_CHUNK
+        if stop >= n - 1:
+            # a one-row product takes another BLAS path that can round
+            # differently, so a one-row tail joins the chunk before it
+            stop = n
+        r = rows[start:stop]
+        terms[start:stop] = _ce_terms(_log_softmax(X[r] @ W + b), y0[start:stop])
+        start = stop
+    return float(-terms.sum() / n)
 
 
 def logreg_fit(
@@ -103,19 +149,22 @@ def logreg_fit(
 
     The effective training mask is the feature validity mask AND label != 0.
     Rows are reshuffled each epoch from one derived generator. The recorded
-    loss curve holds the full-data masked loss after each epoch. When a
-    holdout (features, labels) pair is given, it passes the same checks as
-    the training input plus the model width, per-class mean accuracy on its
-    valid, labeled rows is tracked after each epoch and the weights snapshot
-    from the best epoch (earliest on ties) is returned.
+    loss curve holds the full-data masked loss after each epoch; that pass
+    computes no gradient and holds the logits of at most _LOSS_CHUNK + 1
+    rows at a time. When a holdout (features, labels) pair is given, it
+    passes the same checks as the training input plus the model width,
+    per-class mean accuracy on its valid, labeled rows is tracked after each
+    epoch and the weights snapshot from the best epoch (earliest on ties) is
+    returned.
     """
     X, train_idx = training_rows(features, labels)
-    labels = np.asarray(labels).ravel()
+    # 0-based class slots; only selected rows, labeled 1..10, are ever read
+    y0 = np.asarray(labels).ravel().astype(np.int64) - 1
+    train_y0 = y0[train_idx]
     d = X.shape[1]
     W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)
     b = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    all_in = np.ones(len(train_idx), dtype=bool)
 
     ho = None
     if holdout is not None:
@@ -134,11 +183,11 @@ def logreg_fit(
         order = rng.permutation(train_idx)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            ones = all_in[: len(batch)]
-            _, grad = masked_ce_loss(X[batch] @ W + b, labels[batch], ones)
-            W -= config.learning_rate * (X[batch].T @ grad)
+            Xb = X[batch]
+            grad = _ce_grad(_log_softmax(Xb @ W + b), y0[batch])
+            W -= config.learning_rate * (Xb.T @ grad)
             b -= config.learning_rate * grad.sum(axis=0)
-        loss, _ = masked_ce_loss(X[train_idx] @ W + b, labels[train_idx], all_in)
+        loss = _mean_ce(X, train_idx, train_y0, W, b)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"training diverged at epoch {epoch}: loss={loss!r}; lower the learning rate"

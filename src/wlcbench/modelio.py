@@ -76,6 +76,14 @@ class _Reader:
             )
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, unless a value is NaN or infinite: a model read with one would
+    predict garbage instead of failing."""
+    if not np.isfinite(arr).all():
+        raise ModelIOError(f"{what} must be finite")
+    return arr
+
+
 def _f32(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
@@ -106,7 +114,8 @@ def _kmeans_from(r: _Reader) -> KMeansModel:
     k, d, n_init, max_iter, seed, inertia = r.unpack(_header_format(KIND_KMEANS))
     (has_map,) = r.unpack("B")
     class_of = r.array("u1", k)
-    centroids = r.array("<f4", k * d).astype(np.float64).reshape(k, d)
+    centroids = _finite(r.array("<f4", k * d), "k-means centroids")
+    centroids = centroids.astype(np.float64).reshape(k, d)
     mapping = None
     if has_map:
         mapping = {int(i): int(c) for i, c in enumerate(class_of) if c}
@@ -174,6 +183,9 @@ def _forest_from(r: _Reader) -> ForestModel:
         _check_tree(t, feature, left, right, n_features)
         probs = r.array("<f4", n_nodes * N_SIMPLIFIED_CLASSES).astype(np.float64)
         probs = probs.reshape(n_nodes, N_SIMPLIFIED_CLASSES)
+        leaf = feature < 0
+        _finite(threshold[~leaf], f"tree {t}'s split thresholds")
+        _finite(probs[leaf], f"tree {t}'s leaf probabilities")
         trees.append(
             Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
         )
@@ -208,16 +220,17 @@ def _logreg_payload(model: LogRegModel) -> bytes:
 
 def _logreg_from(r: _Reader) -> LogRegModel:
     d, lr, batch, epochs, seed, best = r.unpack(_header_format(KIND_LOGREG))
-    weights = r.array("<f4", d * N_SIMPLIFIED_CLASSES).astype(np.float64)
-    weights = weights.reshape(d, N_SIMPLIFIED_CLASSES)
-    bias = r.array("<f4", N_SIMPLIFIED_CLASSES).astype(np.float64)
-    return LogRegModel(
-        weights=weights,
-        bias=bias,
-        config=LogRegConfig(
+    weights = _finite(r.array("<f4", d * N_SIMPLIFIED_CLASSES), "logreg weights")
+    weights = weights.astype(np.float64).reshape(d, N_SIMPLIFIED_CLASSES)
+    bias = _finite(r.array("<f4", N_SIMPLIFIED_CLASSES), "logreg bias").astype(np.float64)
+    try:
+        config = LogRegConfig(
             learning_rate=float(lr), batch_size=batch, epochs=epochs, seed=seed
-        ),
-        best_epoch=None if best < 0 else best,
+        )
+    except ValueError as exc:
+        raise ModelIOError(f"logreg header: {exc}") from None
+    return LogRegModel(
+        weights=weights, bias=bias, config=config, best_epoch=None if best < 0 else best
     )
 
 

@@ -120,6 +120,15 @@ def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
     return X
 
 
+def are_class_ids(labels: np.ndarray, lowest: int) -> bool:
+    """Whether every label is a whole number in lowest..10 (a float label
+    such as 1.5 or NaN is not a class id)."""
+    ok = bool(((labels >= lowest) & (labels <= N_SIMPLIFIED_CLASSES)).all())
+    if ok and labels.dtype.kind not in "biu":
+        ok = bool((labels == np.trunc(labels)).all())
+    return ok
+
+
 def training_rows(
     features: FeatureMatrix | np.ndarray, labels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +138,8 @@ def training_rows(
     A row is selected when it is valid (a FeatureMatrix's valid_mask; mask
     rows out of a fit with FeatureMatrix.with_mask) and, when labels are
     given, its label is not 0 (no-data). Raises unless d >= 1, labels have
-    N entries in 0..10, some row is selected and every selected row is
-    finite.
+    N whole-number entries in 0..10, some row is selected and every selected
+    row is finite.
     """
     is_matrix = isinstance(features, FeatureMatrix)
     X = features.values if is_matrix else np.asarray(features, dtype=np.float64)
@@ -141,7 +150,7 @@ def training_rows(
         labels = np.asarray(labels).ravel()
         if len(labels) != len(X):
             raise ValueError(f"labels length {len(labels)} != feature rows {len(X)}")
-        if ((labels < 0) | (labels > N_SIMPLIFIED_CLASSES)).any():
+        if not are_class_ids(labels, 0):
             raise ValueError(
                 f"labels must be 0 (no-data) or simplified class ids 1..{N_SIMPLIFIED_CLASSES}"
             )

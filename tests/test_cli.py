@@ -20,6 +20,7 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import SAVANNA
+from wlcbench.maskedlr import LogRegConfig, LogRegModel
 from wlcbench.modelio import load_model, model_to_bytes
 from wlcbench.shallow import ForestModel, KMeansModel, Tree
 
@@ -495,6 +496,22 @@ def test_predict_refuses_a_forest_whose_root_links_itself(split_dir, tmp_path, c
     assert code == 1
     assert out == ""
     assert "child outside" in single_json_error(err)["error"]
+    assert not (tmp_path / "pred").exists()
+
+
+def test_predict_refuses_a_logreg_model_with_a_nan_bias(split_dir, tmp_path, capsys):
+    bias = np.zeros(10)
+    bias[4] = np.nan
+    model = LogRegModel(weights=np.zeros((10, 10)), bias=bias, config=LogRegConfig())
+    path = tmp_path / "nan.wlcm"
+    path.write_bytes(model_to_bytes(model))
+    code, out, err = run(
+        capsys, "predict", *split_args(split_dir), "--model-file", str(path),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "logreg bias must be finite" in single_json_error(err)["error"]
     assert not (tmp_path / "pred").exists()
 
 

@@ -1,10 +1,15 @@
 """Masked cross-entropy, its gradient, the GD loop, and constrained prediction."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from logreg_reference import reference_fit, reference_masked_ce_loss
+from wlcbench import maskedlr
 from wlcbench.maskedlr import (
     LogRegConfig,
     LogRegModel,
@@ -152,6 +157,26 @@ def test_nodata_label_on_masked_out_row_is_fine():
     assert loss == pytest.approx(math.log(10), abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_loss_and_gradient_match_the_reference_bitwise(n, seed):
+    logits, labels, mask = random_instance(np.random.default_rng(seed), n=n)
+    loss, grad = masked_ce_loss(logits, labels, mask)
+    want_loss, want_grad = reference_masked_ce_loss(logits, labels, mask)
+    assert loss == want_loss
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.5, np.nan])
+def test_non_integral_masked_in_labels_are_refused(bad):
+    labels = np.array([bad, 2.0])
+    with pytest.raises(ValueError, match="masked-in labels must be class ids 1..10"):
+        masked_ce_loss(np.zeros((2, K)), labels, np.ones(2, bool))
+    # whole-number floats are class ids, and masked-out rows are not read
+    loss, _ = masked_ce_loss(np.zeros((2, K)), labels, np.array([False, True]))
+    assert loss == pytest.approx(math.log(10), abs=1e-12)
+
+
 # --- training loop -----------------------------------------------------------
 
 def separable(rng, n_per=30):
@@ -222,6 +247,108 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LogRegConfig(epochs=-1)
     assert LogRegConfig(epochs=0).epochs == 0
+    for name in ("batch_size", "epochs", "seed"):
+        for bad in (1.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
+                LogRegConfig(**{name: bad})
+        assert getattr(LogRegConfig(**{name: np.int64(3)}), name) == 3
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        LogRegConfig(seed=-1)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Training rows (n of them selected), plus a few rows left out either by
+    label 0 or through FeatureMatrix.with_mask. The sampled counts leave a
+    one-row last loss chunk at a 64- or 128-row chunk, or a one-row last
+    mini-batch at batch size 3 or 4096."""
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([65, 129, 193, 257, 4097])))
+    extra = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((n + extra, d))
+    y = rng.integers(1, K + 1, n + extra).astype(np.uint8)
+    left_out = rng.permutation(n + extra)[:extra]
+    if draw(st.booleans()):
+        keep = np.ones(n + extra, dtype=bool)
+        keep[left_out] = False
+        features = FeatureMatrix(X, np.ones(n + extra, dtype=bool)).with_mask(keep)
+    else:
+        y[left_out] = 0
+        features = X
+    holdout = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 50))
+        holdout = (rng.random((m, d)), rng.integers(0, K + 1, m).astype(np.uint8))
+        holdout[1][0] = 1
+    return features, y, holdout
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=fit_inputs(),
+    batch_size=st.sampled_from([1, 3, 4096]),
+    epochs=st.integers(1, 3),
+    learning_rate=st.sampled_from([0.1, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([64, 128, maskedlr._LOSS_CHUNK]),
+)
+@example(
+    data=(np.linspace(0, 1, 4097)[:, None], np.arange(4097) % 10 + 1, None),
+    batch_size=4096, epochs=2, learning_rate=1.0, seed=0, chunk=64,
+)
+def test_fit_matches_the_full_gradient_reference_bitwise(
+    data, batch_size, epochs, learning_rate, seed, chunk
+):
+    features, y, holdout = data
+    config = LogRegConfig(
+        learning_rate=learning_rate, batch_size=batch_size, epochs=epochs, seed=seed
+    )
+    with mock.patch.object(maskedlr, "_LOSS_CHUNK", chunk):
+        got = logreg_fit(features, y, config=config, holdout=holdout)
+    want = reference_fit(features, y, config, holdout=holdout)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.bias.tobytes() == want.bias.tobytes()
+    assert got.loss_curve == want.loss_curve
+    assert got.holdout_curve == want.holdout_curve
+    assert got.best_epoch == want.best_epoch
+
+
+@pytest.mark.parametrize("chunk", [64, 128])
+def test_loss_pass_keeps_a_one_row_tail_in_the_chunk_before_it(chunk):
+    # A one-row product rounds differently from the same row inside a larger
+    # one. Every row but the last is classified with a wide margin, so its
+    # term is about 0 and the last row's term decides the loss's last bits.
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = 2 * chunk + 1
+        X = rng.random((n, 12))
+        W = rng.normal(0, 100, (12, K))
+        b = rng.normal(0, 1, K)
+        logits = X @ W + b
+        y = logits.argmax(axis=1) + 1
+        y[-1] = logits[-1].argmin() + 1
+        want, _ = reference_masked_ce_loss(logits, y, np.ones(n, bool))
+        with mock.patch.object(maskedlr, "_LOSS_CHUNK", chunk):
+            got = maskedlr._mean_ce(X, np.arange(n), y - 1, W, b)
+        assert got == want
+
+
+def test_fit_scratch_memory_stays_below_its_input():
+    rng = np.random.default_rng(7)
+    X = rng.random((200_000, 10))
+    y = rng.integers(1, K + 1, len(X)).astype(np.uint8)
+    config = LogRegConfig(epochs=2)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        model = logreg_fit(X, y, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < X.nbytes
+    # several full loss chunks and a tail, summed as in one full-data pass
+    assert model.loss_curve == reference_fit(X, y, config).loss_curve
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

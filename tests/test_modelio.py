@@ -1,5 +1,6 @@
 """Binary model container: round trips, determinism, and corruption handling."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -240,3 +241,58 @@ def test_forest_without_trees_rejected():
     blob = model_to_bytes(ForestModel((), 0, 1, 12, 0))
     with pytest.raises(ModelIOError, match="at least one tree"):
         model_from_bytes(blob)
+
+
+def _poisoned(model, field, value):
+    """A copy of model with the first entry of one of its stored float
+    arrays set to value; "threshold" and "probs" hit the first tree's root
+    and first leaf."""
+    if isinstance(model, ForestModel):
+        tree = model.trees[0]
+        node = 0 if field == "threshold" else int(np.flatnonzero(tree.feature < 0)[0])
+        arr = getattr(tree, field).copy()
+        arr.reshape(len(tree.feature), -1)[node, 0] = value
+        trees = (dataclasses.replace(tree, **{field: arr}),) + model.trees[1:]
+        return dataclasses.replace(model, trees=trees)
+    arr = getattr(model, field).copy()
+    arr.flat[0] = value
+    return dataclasses.replace(model, **{field: arr})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "which, field, message",
+    [
+        ("kmeans", "centroids", "k-means centroids must be finite"),
+        ("forest", "threshold", "tree 0's split thresholds must be finite"),
+        ("forest", "probs", "tree 0's leaf probabilities must be finite"),
+        ("logreg", "weights", "logreg weights must be finite"),
+        ("logreg", "bias", "logreg bias must be finite"),
+    ],
+)
+def test_non_finite_parameters_rejected(
+    kmeans_model, forest_model, logreg_model, which, field, message, value
+):
+    model = {"kmeans": kmeans_model, "forest": forest_model, "logreg": logreg_model}[which][0]
+    blob = model_to_bytes(model)
+    assert model_to_bytes(model_from_bytes(blob)) == blob
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(model_to_bytes(_poisoned(model, field, value)))
+
+
+@pytest.mark.parametrize(
+    "offset, code, value, message",
+    [
+        (23, "<q", -1, "logreg header: seed must be >= 0, got -1"),
+        (15, "<I", 0, "logreg header: batch_size must be >= 1, got 0"),
+        (11, "<f", float("nan"), "logreg header: learning_rate must be finite"),
+    ],
+    ids=["seed", "batch_size", "learning_rate"],
+)
+def test_logreg_header_refused_like_its_config(logreg_model, offset, code, value, message):
+    blob = bytearray(model_to_bytes(logreg_model[0]))
+    # the header follows magic, version and kind (7 bytes): d (u32),
+    # learning_rate (f32), batch_size (u32), epochs (u32), seed (i64)
+    struct.pack_into(code, blob, offset, value)
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(bytes(blob))

@@ -284,6 +284,12 @@ def test_fits_share_the_training_row_refusals(kind, rng):
         y_bad = y.copy()
         y_bad[4] = 11
         cases.append((FeatureMatrix(X, np.arange(20) != 4), y_bad, "1..10"))
+        # and so is a label that is not a whole number
+        for bad in (1.5, np.nan):
+            y_float = y.astype(np.float64)
+            y_float[4] = bad
+            cases.append((X, y_float, "1..10"))
+        _fit(kind, X, y.astype(np.float64))
     for features, labels, message in cases:
         with pytest.raises(ValueError, match=message):
             _fit(kind, features, labels)
