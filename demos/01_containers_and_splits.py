@@ -19,7 +19,6 @@ from wlcbench.dataset import (
     SplitRole,
     S2_SURFACE_BANDS,
     class_histogram,
-    classes_per_patch,
     iter_patches,
     load_manifest,
     patch_to_bytes,
@@ -71,12 +70,11 @@ print(f"manifest {again.name!r} role={again.role.value} ids={list(again.patch_id
 print(f"subsampled -> {half.name!r} ids={list(half.patch_ids)}")
 
 # 4. split-level statistics
-loaded = list(iter_patches(again, out))
-counts, fractions = class_histogram(loaded, which="lr")
+hist = class_histogram(iter_patches(again, out), which="lr")
 print("\nclass histogram over LR labels:")
-for name, c, f in zip(SIMPLIFIED_CLASS_NAMES, counts, fractions):
+for name, c, f in zip(SIMPLIFIED_CLASS_NAMES, hist.counts, hist.fractions):
     if c:
         print(f"  {name:<15} {int(c):>4} px  {f:.3f}")
 # entry i-1 counts the patches showing exactly i distinct classes
-print("classes-per-patch histogram:", classes_per_patch(loaded, which="lr"))
+print("classes-per-patch histogram:", hist.classes_per_patch)
 tmp.cleanup()

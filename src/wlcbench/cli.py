@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .dataset import (
     SplitRole,
     atomic_write,
     class_histogram,
-    classes_per_patch,
     iter_patches,
     load_manifest,
     save_manifest,
@@ -74,21 +74,26 @@ def _emit(doc: dict) -> None:
 # shared data loading
 # ---------------------------------------------------------------------------
 
-def _load_split(args) -> tuple[SplitManifest, list[Patch]]:
-    """Manifest plus its patches, LR labels simplified to the 10-class scheme."""
+def _load_split(args) -> tuple[SplitManifest, Iterator[Patch]]:
+    """Manifest plus a lazy stream of its patches, LR labels simplified to the
+    10-class scheme. An empty manifest is refused before anything else is
+    read; each patch is read when the stream reaches it, so a command that
+    consumes the stream in one loop holds one patch at a time."""
     manifest = load_manifest(args.manifest)
     if getattr(args, "subsample", None) is not None:
         manifest = subsample_manifest(manifest, args.subsample, args.seed)
-    patches = [
+    if len(manifest) == 0:
+        raise ValueError(f"manifest {manifest.name!r} lists no patches")
+    patches = (
         dataclasses.replace(p, lr_labels=as_simplified(p.lr_labels))
         for p in iter_patches(manifest, args.data_dir)
-    ]
-    if not patches:
-        raise ValueError(f"manifest {manifest.name!r} lists no patches")
+    )
     return manifest, patches
 
 
-def _features_and_labels(patches, fusion: FusionConfig):
+def _features_and_labels(patches: Iterator[Patch], fusion: FusionConfig):
+    """Stacked feature rows and LR labels; each patch's band stacks can be
+    freed once its features are assembled."""
     mats = []
     lab = []
     for patch in patches:
@@ -136,20 +141,19 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     manifest, patches = _load_split(args)
-    counts, fractions = class_histogram(patches, which=args.which)
-    per_patch = classes_per_patch(patches, which=args.which)
+    hist = class_histogram(patches, which=args.which)
     doc = {
         "manifest": manifest.name,
-        "patches": len(patches),
+        "patches": hist.patches,
         "which": args.which,
         "class_counts": {
-            name: int(c) for name, c in zip(SIMPLIFIED_CLASS_NAMES, counts)
+            name: int(c) for name, c in zip(SIMPLIFIED_CLASS_NAMES, hist.counts)
         },
         "class_fractions": {
-            name: float(f) for name, f in zip(SIMPLIFIED_CLASS_NAMES, fractions)
+            name: float(f) for name, f in zip(SIMPLIFIED_CLASS_NAMES, hist.fractions)
         },
-        "classes_per_patch_histogram": [int(v) for v in per_patch],
-        "with_hr_labels": sum(1 for p in patches if p.hr_labels is not None),
+        "classes_per_patch_histogram": [int(v) for v in hist.classes_per_patch],
+        "with_hr_labels": hist.with_hr_labels,
     }
     if args.out:
         atomic_write(args.out, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
@@ -231,7 +235,7 @@ def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarr
 
 def cmd_predict(args) -> int:
     manifest, patches = _load_split(args)
-    model = modelio.load_model(args.model_file)
+    model = modelio.load_model(args.model_file)  # before any patch is read or written
     fusion = FusionConfig.from_string(args.fusion)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,11 +246,12 @@ def cmd_predict(args) -> int:
             pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10
         )
         write_patch(dataclasses.replace(patch, lr_labels=raster), out / f"{patch.id}.wlcb")
+    # last, so a run that fails partway leaves no manifest to read it by
     save_manifest(
         SplitManifest(f"{manifest.name}-pred", manifest.role, manifest.patch_ids),
         out / "manifest.json",
     )
-    _emit({"patches": len(patches), "out": str(out)})
+    _emit({"patches": len(manifest), "out": str(out)})
     return 0
 
 
@@ -269,12 +274,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_transition(args) -> int:
     _, patches = _load_split(args)
-    lr_all = np.concatenate([p.lr_labels.values.ravel() for p in patches])
-    hr_all = np.concatenate([p.labels("hr").values.ravel() for p in patches])
-    tm = metrics.transition_matrix(
-        LabelRaster(lr_all[None, :], Scheme.SIMPLIFIED10),
-        LabelRaster(hr_all[None, :], Scheme.SIMPLIFIED10),
+    joint = metrics.aggregate_confusion(
+        patches, pred="hr", ref="lr", masked_classes=frozenset()
     )
+    tm = metrics.transition_matrix(joint)
     atomic_write(args.out, metrics.matrix_csv(tm.probs, ".6f").encode("utf-8"))
     _emit(
         {
@@ -289,12 +292,12 @@ def cmd_transition(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _, patches = _load_split(args)
+    manifest, patches = _load_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for patch in patches:
         atomic_write(out / f"{patch.id}.ppm", render_labels(patch.labels(args.which)))
-    _emit({"rendered": len(patches), "out": str(out)})
+    _emit({"rendered": len(manifest), "out": str(out)})
     return 0
 
 

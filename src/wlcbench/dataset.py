@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -367,39 +367,34 @@ def _require_simplified(raster: LabelRaster, patch_id: str) -> np.ndarray:
     return raster.values
 
 
-def class_histogram(patches: Sequence[Patch] | Iterable[Patch], which: str = "lr"):
-    """Per-class pixel counts and fractions over SIMPLIFIED10 classes 1..10.
+@dataclass(frozen=True)
+class ClassHistogram:
+    """Label statistics of a split over SIMPLIFIED10 classes 1..10."""
 
-    Invalid (0) pixels are excluded. Returns (counts, fractions) as two
-    length-10 arrays; fractions are zero when no valid pixel exists.
-    """
+    counts: np.ndarray             # 10 int64 pixel counts; invalid (0) pixels excluded
+    fractions: np.ndarray          # counts / their sum, all zero when no pixel is valid
+    classes_per_patch: np.ndarray  # entry i-1: patches with exactly i distinct valid classes
+    patches: int
+    with_hr_labels: int            # patches that carry an HR raster
+
+
+def class_histogram(patches: Iterable[Patch], which: str = "lr") -> ClassHistogram:
+    """Pixel counts, class fractions and per-patch class diversity of the
+    ``which`` labels, in one pass that holds one patch at a time."""
     counts = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.int64)
-    n_patches = 0
+    per_patch = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.int64)
+    n_patches = with_hr = 0
     for patch in patches:
         vals = _require_simplified(patch.labels(which), patch.id)
-        counts += np.bincount(vals.ravel(), minlength=N_SIMPLIFIED_CLASSES + 1)[1:].astype(np.int64)
+        c = np.bincount(vals.ravel(), minlength=N_SIMPLIFIED_CLASSES + 1)[1:]
+        counts += c
+        n_distinct = int(np.count_nonzero(c))
+        if n_distinct > 0:
+            per_patch[n_distinct - 1] += 1
         n_patches += 1
+        with_hr += patch.hr_labels is not None
     if n_patches == 0:
         raise ValueError("class_histogram needs at least one patch")
     total = counts.sum()
     fractions = counts / total if total > 0 else np.zeros(N_SIMPLIFIED_CLASSES)
-    return counts, fractions
-
-
-def classes_per_patch(patches: Sequence[Patch] | Iterable[Patch], which: str = "lr") -> np.ndarray:
-    """Histogram over 1..10 of the number of distinct valid classes per patch.
-
-    Entry i-1 counts the patches containing exactly i distinct nonzero classes.
-    """
-    hist = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.int64)
-    n_patches = 0
-    for patch in patches:
-        vals = _require_simplified(patch.labels(which), patch.id)
-        distinct = np.unique(vals)
-        n = int((distinct != 0).sum())
-        if n > 0:
-            hist[n - 1] += 1
-        n_patches += 1
-    if n_patches == 0:
-        raise ValueError("classes_per_patch needs at least one patch")
-    return hist
+    return ClassHistogram(counts, fractions, per_patch, n_patches, with_hr)

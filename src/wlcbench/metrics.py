@@ -129,14 +129,18 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def transition_matrix(lr: LabelRaster, hr: LabelRaster) -> TransitionMatrix:
+def transition_matrix(
+    lr: LabelRaster | ConfusionMatrix, hr: LabelRaster | None = None
+) -> TransitionMatrix:
     """Probability of each HR class conditioned on the LR class.
 
     probs[l-1][h-1] = count(lr=l and hr=h) / count(lr=l) over jointly valid
     pixels, that is the confusion matrix of hr against the lr reference,
-    row-normalized; rows without support are all zero.
+    row-normalized; rows without support are all zero. Takes the two rasters,
+    or that confusion matrix already summed over a split:
+    ``aggregate_confusion(patches, pred="hr", ref="lr", masked_classes=frozenset())``.
     """
-    joint = confusion(lr, hr).counts
+    joint = (lr if hr is None else confusion(lr, hr)).counts
     if not joint.any():
         raise ValueError("no jointly valid pixels for the transition matrix")
     support = joint.sum(axis=1)

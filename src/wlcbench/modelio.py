@@ -47,6 +47,15 @@ class ModelIOError(ValueError):
     """Raised for malformed or truncated model files."""
 
 
+def _check_field(name: str, code: str, value) -> None:
+    try:
+        struct.pack("<" + code, value)
+    except (struct.error, OverflowError):
+        raise ModelIOError(
+            f"{name}={value!r} does not fit the model file's {_FIELD_RANGE[code]} field"
+        ) from None
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -84,20 +93,28 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _f32(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+def _f32(arr: np.ndarray, what: str) -> bytes:
+    """arr as float32 bytes; raises ModelIOError if a finite value is beyond
+    float32 range, because it would be stored as inf."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype="<f4")
+    if (np.isinf(out) & np.isfinite(arr)).any():
+        raise ModelIOError(f"{what} must lie within float32 range to be stored")
+    return out.tobytes()
+
+
+def _pack_header(kind: int, *values) -> bytes:
+    """The kind's header fields; raises ModelIOError naming the first field
+    whose value does not fit."""
+    for (name, code), value in zip(_HEADERS[kind], values):
+        _check_field(name, code, value)
+    return struct.pack("<" + _header_format(kind), *values)
 
 
 def _kmeans_payload(model: KMeansModel) -> bytes:
     parts = [
-        struct.pack(
-            "<" + _header_format(KIND_KMEANS),
-            model.k,
-            model.d,
-            model.n_init,
-            model.max_iter,
-            model.seed,
-            model.inertia,
+        _pack_header(
+            KIND_KMEANS, model.k, model.d, model.n_init, model.max_iter, model.seed, model.inertia
         )
     ]
     class_of = np.zeros(model.k, dtype=np.uint8)  # 0 = unmapped
@@ -106,7 +123,7 @@ def _kmeans_payload(model: KMeansModel) -> bytes:
             class_of[cluster] = cls
     parts.append(struct.pack("<B", 1 if model.cluster_to_class is not None else 0))
     parts.append(class_of.tobytes())
-    parts.append(_f32(model.centroids))
+    parts.append(_f32(model.centroids, "k-means centroids"))
     return b"".join(parts)
 
 
@@ -131,21 +148,15 @@ def _kmeans_from(r: _Reader) -> KMeansModel:
 
 def _forest_payload(model: ForestModel) -> bytes:
     parts = [
-        struct.pack(
-            "<" + _header_format(KIND_FOREST),
-            model.n_trees,
-            model.max_depth,
-            model.n_features,
-            model.seed,
-        )
+        _pack_header(KIND_FOREST, model.n_trees, model.max_depth, model.n_features, model.seed)
     ]
-    for tree in model.trees:
+    for t, tree in enumerate(model.trees):
         parts.append(struct.pack("<I", tree.n_nodes))
         parts.append(np.ascontiguousarray(tree.feature, dtype="<i2").tobytes())
-        parts.append(_f32(tree.threshold))
+        parts.append(_f32(tree.threshold, f"tree {t}'s split thresholds"))
         parts.append(np.ascontiguousarray(tree.left, dtype="<i4").tobytes())
         parts.append(np.ascontiguousarray(tree.right, dtype="<i4").tobytes())
-        parts.append(_f32(tree.probs))
+        parts.append(_f32(tree.probs, f"tree {t}'s leaf probabilities"))
     return b"".join(parts)
 
 
@@ -203,17 +214,11 @@ def _logreg_payload(model: LogRegModel) -> bytes:
     best = -1 if model.best_epoch is None else model.best_epoch
     return b"".join(
         [
-            struct.pack(
-                "<" + _header_format(KIND_LOGREG),
-                model.d,
-                cfg.learning_rate,
-                cfg.batch_size,
-                cfg.epochs,
-                cfg.seed,
-                best,
+            _pack_header(
+                KIND_LOGREG, model.d, cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed, best
             ),
-            _f32(model.weights),
-            _f32(model.bias),
+            _f32(model.weights, "logreg weights"),
+            _f32(model.bias, "logreg bias"),
         ]
     )
 
@@ -246,18 +251,12 @@ _KIND_OF = {model_type: kind for kind, (model_type, _, _) in _KINDS.items()}
 
 
 def check_fields(model_type: type, **values) -> None:
-    """Raise ValueError unless each value fits the header field of that name
-    in ``model_type``'s files, so a command can refuse a hyperparameter
-    before fitting instead of failing to save the fitted model."""
+    """Raise ModelIOError (a ValueError) unless each value fits the header
+    field of that name in ``model_type``'s files, so a command can refuse a
+    hyperparameter before fitting instead of failing to save the fitted model."""
     codes = dict(_HEADERS[_KIND_OF[model_type]])
     for name, value in values.items():
-        try:
-            struct.pack("<" + codes[name], value)
-        except (struct.error, OverflowError):
-            raise ValueError(
-                f"{name}={value!r} does not fit the model file's "
-                f"{_FIELD_RANGE[codes[name]]} field"
-            ) from None
+        _check_field(name, codes[name], value)
 
 
 def model_to_bytes(model: AnyModel) -> bytes:

@@ -20,7 +20,6 @@ from wlcbench.dataset import (
     SplitRole,
     atomic_write,
     class_histogram,
-    classes_per_patch,
     iter_patches,
     load_manifest,
     patch_to_bytes,
@@ -270,7 +269,8 @@ def test_iter_patches_missing_file(tmp_path):
 
 def test_histogram_single_class_patch():
     p = make_patch(np.ones((16, 16), dtype=np.uint8))
-    counts, fractions = class_histogram([p])
+    hist = class_histogram([p])
+    counts, fractions = hist.counts, hist.fractions
     assert counts[0] == 256
     assert fractions[0] == 1.0
     assert counts[1:].sum() == 0
@@ -278,7 +278,8 @@ def test_histogram_single_class_patch():
 
 def test_histogram_two_patches_half_water():
     lr = np.array([[1, 1], [10, 10]], dtype=np.uint8)
-    counts, fractions = class_histogram([make_patch(lr, patch_id="a"), make_patch(lr, patch_id="b")])
+    hist = class_histogram([make_patch(lr, patch_id="a"), make_patch(lr, patch_id="b")])
+    counts, fractions = hist.counts, hist.fractions
     assert counts[0] == 4 and counts[9] == 4
     assert fractions[0] == 0.5 and fractions[9] == 0.5
 
@@ -286,9 +287,9 @@ def test_histogram_two_patches_half_water():
 def test_histogram_matches_pixel_loop_oracle(rng):
     rasters = [rng.integers(0, 11, (7, 5), dtype=np.uint8) for _ in range(20)]
     patches = [make_patch(r, patch_id=f"p{i}") for i, r in enumerate(rasters)]
-    counts, fractions = class_histogram(patches)
-    np.testing.assert_array_equal(counts, tally_oracle(rasters))
-    assert abs(fractions.sum() - 1.0) < 1e-12
+    hist = class_histogram(patches)
+    np.testing.assert_array_equal(hist.counts, tally_oracle(rasters))
+    assert abs(hist.fractions.sum() - 1.0) < 1e-12
 
 
 def test_histogram_requires_simplified_scheme():
@@ -313,7 +314,7 @@ def test_histogram_hr_missing():
 def test_classes_per_patch_examples():
     single = make_patch(np.full((4, 4), 5, dtype=np.uint8), patch_id="s")
     three = make_patch(np.array([[1, 4], [6, 6]], dtype=np.uint8), patch_id="t")
-    hist = classes_per_patch([single, three])
+    hist = class_histogram([single, three]).classes_per_patch
     assert hist[0] == 1 and hist[2] == 1
     assert hist.sum() == 2
 
@@ -321,4 +322,6 @@ def test_classes_per_patch_examples():
 def test_classes_per_patch_matches_oracle(rng):
     rasters = [rng.integers(0, 11, (6, 6), dtype=np.uint8) for _ in range(100)]
     patches = [make_patch(r, patch_id=f"p{i}") for i, r in enumerate(rasters)]
-    np.testing.assert_array_equal(classes_per_patch(patches), distinct_oracle(rasters))
+    np.testing.assert_array_equal(
+        class_histogram(patches).classes_per_patch, distinct_oracle(rasters)
+    )

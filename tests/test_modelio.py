@@ -296,3 +296,37 @@ def test_logreg_header_refused_like_its_config(logreg_model, offset, code, value
     struct.pack_into(code, blob, offset, value)
     with pytest.raises(ModelIOError, match=message):
         model_from_bytes(bytes(blob))
+
+
+BEYOND_F32 = np.array([[0.0], [1e39], [2e39], [3e39]])
+
+
+@pytest.mark.parametrize(
+    "which, message",
+    [
+        ("rf_fit", "tree 0's split thresholds must lie within float32 range"),
+        ("kmeans_fit", r"inertia=.* does not fit the model file's float32 field"),
+        ("centroids", "k-means centroids must lie within float32 range"),
+        ("weights", "logreg weights must lie within float32 range"),
+        ("bias", "logreg bias must lie within float32 range"),
+    ],
+)
+def test_parameters_beyond_float32_are_refused_when_saved(
+    kmeans_model, logreg_model, which, message
+):
+    if which == "rf_fit":
+        model = rf_fit(BEYOND_F32, np.array([1, 1, 2, 2]), n_trees=1, max_depth=2, seed=0)
+    elif which == "kmeans_fit":
+        model = kmeans_fit(BEYOND_F32, k=2, n_init=1, seed=0)
+    elif which == "centroids":
+        model = _poisoned(kmeans_model[0], "centroids", 3e39)
+    else:
+        model = _poisoned(logreg_model[0], which, -3e39)
+    with pytest.raises(ModelIOError, match=message):
+        model_to_bytes(model)
+
+
+def test_the_largest_float32_is_stored(logreg_model):
+    top = float(np.finfo(np.float32).max)
+    model = _poisoned(logreg_model[0], "weights", top)
+    assert model_from_bytes(model_to_bytes(model)).weights.flat[0] == top

@@ -1,0 +1,391 @@
+"""The apply commands stream their split: the same numbers and bytes as the
+whole-split computations in ``stream_reference``, memory that does not grow
+with the split, and one JSON error line when a container is bad."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wlcbench import metrics, shallow
+from wlcbench.cli import main
+from wlcbench.dataset import (
+    LabelRaster,
+    Scheme,
+    SplitManifest,
+    SplitRole,
+    class_histogram,
+    iter_patches,
+    load_manifest,
+    patch_to_bytes,
+    save_manifest,
+    write_patch,
+)
+from wlcbench.labels import IGBP_TO_SIMPLIFIED, SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
+from wlcbench.modelio import load_model
+from wlcbench.preprocess import FusionConfig, assemble_features
+from wlcbench.render import render_labels
+
+from conftest import make_patch
+from stream_reference import (
+    reference_class_histogram,
+    reference_classes_per_patch,
+    reference_transition,
+)
+
+
+def seeded_patches(seed: int, n: int = 12, drop_hr: bool = False):
+    """Random-size patches; every third has IGBP17 LR labels, and with
+    ``drop_hr`` every fourth lacks HR labels."""
+    rng = np.random.default_rng(seed)
+    patches = []
+    for i in range(n):
+        h, w = rng.integers(1, 9, 2)
+        igbp = i % 3 == 2
+        lr = rng.integers(0, 18 if igbp else 11, (h, w))
+        hr = rng.integers(0, 11, (h, w))
+        if drop_hr and i % 4 == 1:
+            hr = None
+        patches.append(
+            make_patch(
+                lr, hr, patch_id=f"p{i}", lr_scheme=Scheme.IGBP17 if igbp else Scheme.SIMPLIFIED10
+            )
+        )
+    return patches
+
+
+def simplified(patches):
+    return [dataclasses.replace(p, lr_labels=as_simplified(p.lr_labels)) for p in patches]
+
+
+# --- the streamed statistics equal the whole-split ones ---------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_summed_transition_counts_equal_the_concatenated_ones(seed):
+    patches = seeded_patches(seed)
+    joint = metrics.aggregate_confusion(
+        iter(patches), pred="hr", ref="lr", masked_classes=frozenset()
+    )
+    tm = metrics.transition_matrix(joint)
+    ref = reference_transition(patches)
+    np.testing.assert_array_equal(tm.probs, ref.probs)
+    np.testing.assert_array_equal(tm.row_support, ref.row_support)
+    np.testing.assert_array_equal(joint.counts.sum(axis=1), ref.row_support)
+
+
+def test_transition_from_counts_keeps_the_joint_support_error():
+    with pytest.raises(ValueError, match="no jointly valid pixels"):
+        metrics.transition_matrix(metrics.ConfusionMatrix.zero())
+    blank = [make_patch([[0, 1]], [[1, 0]])]
+    joint = metrics.aggregate_confusion(blank, pred="hr", ref="lr", masked_classes=frozenset())
+    with pytest.raises(ValueError, match="no jointly valid pixels"):
+        metrics.transition_matrix(joint)
+
+
+def test_streamed_transition_and_reference_refuse_a_patch_without_hr():
+    patches = seeded_patches(3, drop_hr=True)
+    for compute in (
+        reference_transition,
+        lambda ps: metrics.aggregate_confusion(iter(ps), pred="hr", ref="lr",
+                                               masked_classes=frozenset()),
+    ):
+        with pytest.raises(ValueError, match="'p1' lacks hr labels"):
+            compute(patches)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("which", ["lr", "hr"])
+def test_one_pass_histogram_equals_the_two_pass_reference(seed, which):
+    patches = simplified(seeded_patches(seed, drop_hr=which == "lr"))
+    hist = class_histogram(iter(patches), which=which)
+    counts, fractions = reference_class_histogram(patches, which)
+    np.testing.assert_array_equal(hist.counts, counts)
+    np.testing.assert_array_equal(hist.fractions, fractions)
+    np.testing.assert_array_equal(
+        hist.classes_per_patch, reference_classes_per_patch(patches, which)
+    )
+    assert hist.patches == len(patches)
+    assert hist.with_hr_labels == sum(p.hr_labels is not None for p in patches)
+
+
+def test_histogram_of_invalid_pixels_only():
+    hist = class_histogram([make_patch(np.zeros((3, 3)), patch_id="z")])
+    assert hist.counts.sum() == 0 and hist.fractions.sum() == 0.0
+    assert hist.classes_per_patch.sum() == 0 and hist.patches == 1
+
+
+# --- command outputs equal the whole-split computations ----------------------
+
+def cli(*argv):
+    """Run the CLI in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def split_args(d, manifest="manifest.json"):
+    return ["--manifest", d / manifest, "--data-dir", d]
+
+
+@pytest.fixture(scope="module")
+def mixed_split(tmp_path_factory):
+    """Six 32 px synthetic scenes; scenes 1 and 4 carry IGBP17 LR labels
+    (each class written as the first IGBP id that simplifies to it)."""
+    d = tmp_path_factory.mktemp("mixed")
+    assert cli("synth", "--out", d, "--size", 32, "--block-factor", 8,
+               "--n-scenes", 6, "--seed", 3)[0] == 0
+    to_igbp = np.array([int(np.flatnonzero(IGBP_TO_SIMPLIFIED == c)[0]) for c in range(11)])
+    for p in iter_patches(load_manifest(d / "manifest.json"), d):
+        if p.id in ("scene-00001", "scene-00004"):
+            lr = LabelRaster(to_igbp[p.lr_labels.values], Scheme.IGBP17)
+            write_patch(dataclasses.replace(p, lr_labels=lr), d / f"{p.id}.wlcb")
+    return d
+
+
+@pytest.fixture(scope="module")
+def rf_model(mixed_split, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "rf.wlcm"
+    code, _, err = cli("train", *split_args(mixed_split), "--model", "rf", "--trees", 3,
+                       "--depth", 5, "--out", path)
+    assert code == 0, err
+    return path
+
+
+def loaded(d):
+    """The split as a list, LR labels simplified, as the commands once held it."""
+    manifest = load_manifest(d / "manifest.json")
+    return manifest, simplified(iter_patches(manifest, d))
+
+
+@pytest.mark.parametrize("which", ["lr", "hr"])
+def test_stats_output_equals_the_reference(mixed_split, tmp_path, which):
+    manifest, patches = loaded(mixed_split)
+    code, out, _ = cli("stats", *split_args(mixed_split), "--which", which,
+                       "--out", tmp_path / "s.json")
+    assert code == 0
+    counts, fractions = reference_class_histogram(patches, which)
+    doc = {
+        "manifest": manifest.name,
+        "patches": len(patches),
+        "which": which,
+        "class_counts": {n: int(c) for n, c in zip(SIMPLIFIED_CLASS_NAMES, counts)},
+        "class_fractions": {n: float(f) for n, f in zip(SIMPLIFIED_CLASS_NAMES, fractions)},
+        "classes_per_patch_histogram": [
+            int(v) for v in reference_classes_per_patch(patches, which)
+        ],
+        "with_hr_labels": len(patches),
+    }
+    assert out == json.dumps(doc) + "\n"
+    assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_transition_output_equals_the_reference(mixed_split, tmp_path):
+    _, patches = loaded(mixed_split)
+    code, out, _ = cli("transition", *split_args(mixed_split), "--out", tmp_path / "t.csv")
+    assert code == 0
+    tm = reference_transition(patches)
+    assert (tmp_path / "t.csv").read_text() == metrics.matrix_csv(tm.probs, ".6f")
+    support = {n: int(s) for n, s in zip(SIMPLIFIED_CLASS_NAMES, tm.row_support)}
+    assert out == json.dumps({"out": str(tmp_path / "t.csv"), "row_support": support}) + "\n"
+
+
+@pytest.mark.parametrize("mask", ["true", "false"])
+def test_evaluate_output_equals_the_reference(mixed_split, tmp_path, mask):
+    _, patches = loaded(mixed_split)
+    code, out, _ = cli("evaluate", *split_args(mixed_split), "--mask-savanna", mask,
+                       "--csv", tmp_path / "e.csv", "--matrix", tmp_path / "m.csv")
+    assert code == 0
+    masked = frozenset({SAVANNA}) if mask == "true" else frozenset()
+    cm = metrics.aggregate_confusion(patches, pred="lr", ref="hr", masked_classes=masked)
+    rep = metrics.report(cm)
+    assert out == metrics.report_json(rep) + "\n"
+    assert (tmp_path / "e.csv").read_text() == metrics.report_csv(rep)
+    assert (tmp_path / "m.csv").read_text() == metrics.matrix_csv(cm.counts, "d")
+
+
+@pytest.mark.parametrize("which", ["lr", "hr"])
+def test_render_output_equals_the_reference(mixed_split, tmp_path, which):
+    manifest, patches = loaded(mixed_split)
+    code, out, _ = cli("render", *split_args(mixed_split), "--which", which,
+                       "--out", tmp_path / "r")
+    assert code == 0
+    assert out == json.dumps({"rendered": len(patches), "out": str(tmp_path / "r")}) + "\n"
+    assert sorted(os.listdir(tmp_path / "r")) == [f"{i}.ppm" for i in manifest.patch_ids]
+    for p in patches:
+        assert (tmp_path / "r" / f"{p.id}.ppm").read_bytes() == render_labels(p.labels(which))
+
+
+def test_predict_output_equals_the_reference(mixed_split, rf_model, tmp_path):
+    manifest, patches = loaded(mixed_split)
+    code, out, _ = cli("predict", *split_args(mixed_split), "--model-file", rf_model,
+                       "--out", tmp_path / "p")
+    assert code == 0
+    assert out == json.dumps({"patches": len(patches), "out": str(tmp_path / "p")}) + "\n"
+    model = load_model(rf_model)
+    fusion = FusionConfig.from_string("s2")
+    for p in patches:
+        pred = shallow.rf_predict(model, assemble_features(p, fusion))
+        raster = LabelRaster(pred.reshape(p.height, p.width), Scheme.SIMPLIFIED10)
+        expected = patch_to_bytes(dataclasses.replace(p, lr_labels=raster))
+        assert (tmp_path / "p" / f"{p.id}.wlcb").read_bytes() == expected
+    back = load_manifest(tmp_path / "p" / "manifest.json")
+    assert (back.name, back.role, back.patch_ids) == (
+        f"{manifest.name}-pred", manifest.role, manifest.patch_ids
+    )
+
+
+# --- memory does not grow with the split -------------------------------------
+
+@pytest.fixture(scope="module")
+def sized_splits(tmp_path_factory):
+    """32 scenes of 32 px; manifest-8.json lists the first 8 of them."""
+    d = tmp_path_factory.mktemp("sized")
+    assert cli("synth", "--out", d, "--size", 32, "--block-factor", 8,
+               "--n-scenes", 32, "--seed", 5)[0] == 0
+    full = load_manifest(d / "manifest.json")
+    save_manifest(SplitManifest("first8", SplitRole.TRAIN, full.patch_ids[:8]),
+                  d / "manifest-8.json")
+    model = d / "rf.wlcm"
+    assert cli("train", *split_args(d, "manifest-8.json"), "--model", "rf", "--trees", 2,
+               "--depth", 4, "--out", model)[0] == 0
+    return d, model
+
+
+def traced_peak(argv) -> int:
+    """tracemalloc peak of one in-process command, in bytes."""
+    tracemalloc.start()
+    try:
+        code, _, err = cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    return peak
+
+
+@pytest.mark.parametrize("command", ["predict", "transition", "stats"])
+def test_peak_memory_does_not_grow_with_the_split(sized_splits, tmp_path, command):
+    d, model = sized_splits
+    container = os.path.getsize(d / "scene-00000.wlcb")
+
+    def argv(manifest, run):
+        extra = {
+            "predict": ["--model-file", model, "--out", tmp_path / f"pred-{run}"],
+            "transition": ["--out", tmp_path / f"t-{run}.csv"],
+            "stats": [],
+        }[command]
+        return [command, *split_args(d, manifest), *extra]
+
+    cli(*argv("manifest-8.json", "warm"))
+    small = traced_peak(argv("manifest-8.json", "8"))
+    large = traced_peak(argv("manifest.json", "32"))
+    assert large - small < 2 * container, (
+        f"{command}: peak {small / container:.1f} -> {large / container:.1f} containers"
+    )
+
+
+# --- a bad container fails the command with one JSON line --------------------
+
+@pytest.fixture()
+def third_truncated(mixed_split, tmp_path):
+    d = tmp_path / "split"
+    shutil.copytree(mixed_split, d)
+    third = d / f"{load_manifest(d / 'manifest.json').patch_ids[2]}.wlcb"
+    third.write_bytes(third.read_bytes()[:-7])
+    return d
+
+
+@pytest.mark.parametrize("command", ["predict", "render", "evaluate", "stats", "transition"])
+def test_a_truncated_third_container_fails_after_two_outputs(
+    third_truncated, rf_model, tmp_path, command
+):
+    out_dir = tmp_path / "out"
+    extra = {
+        "predict": ["--model-file", rf_model, "--out", out_dir],
+        "render": ["--out", out_dir],
+        "transition": ["--out", tmp_path / "t.csv"],
+    }.get(command, [])
+    code, out, err = cli(command, *split_args(third_truncated), *extra)
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "container size" in json.loads(lines[0])["error"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+    if command in ("predict", "render"):
+        ids = load_manifest(third_truncated / "manifest.json").patch_ids
+        suffix = ".wlcb" if command == "predict" else ".ppm"
+        assert sorted(os.listdir(out_dir)) == [f"{i}{suffix}" for i in ids[:2]]
+        assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "render"])
+def test_an_empty_subsample_fails_before_the_out_directory_exists(
+    mixed_split, rf_model, tmp_path, command
+):
+    extra = ["--model-file", rf_model] if command == "predict" else []
+    code, out, err = cli(command, *split_args(mixed_split), "--subsample", 0, *extra,
+                         "--out", tmp_path / "out")
+    assert code == 1
+    assert out == ""
+    assert "lists no patches" in json.loads(err.strip())["error"]
+    assert not (tmp_path / "out").exists()
+
+
+# --- corrupted containers never crash the CLI --------------------------------
+
+@st.composite
+def corruptions(draw):
+    kind = draw(st.sampled_from(["truncate", "flip_header", "nan_band"]))
+    victim = draw(st.integers(0, 5))
+    if kind == "truncate":
+        return kind, victim, draw(st.integers(0, 51217))
+    if kind == "flip_header":
+        return kind, victim, (draw(st.integers(0, 17)), draw(st.integers(1, 255)))
+    return kind, victim, draw(st.integers(0, 12 * 32 * 32 - 1))
+
+
+def corrupt(path, kind, arg):
+    data = bytearray(path.read_bytes())
+    if kind == "truncate":
+        data = data[:arg]
+    elif kind == "flip_header":
+        data[arg[0]] ^= arg[1]
+    else:
+        off = 18 + 4 * arg
+        data[off:off + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corruptions())
+def test_corrupted_containers_fail_cleanly_or_pass(mixed_split, rf_model, case):
+    kind, victim, arg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(shutil.copytree(mixed_split, Path(tmp) / "split"))
+        ids = load_manifest(d / "manifest.json").patch_ids
+        corrupt(d / f"{ids[victim]}.wlcb", kind, arg)
+        for argv in (
+            ["evaluate", *split_args(d)],
+            ["predict", *split_args(d), "--model-file", rf_model,
+             "--out", Path(tmp) / "pred"],
+        ):
+            code, out, err = cli(*argv)
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == "" and len(out.strip().splitlines()) == 1
+            else:
+                assert code == 1 and out == ""
+                lines = err.strip().splitlines()
+                assert len(lines) == 1 and "error" in json.loads(lines[0])
