@@ -195,6 +195,8 @@ def cmd_train(args) -> int:
     if args.model == "kmeans":
         k = args.k if args.k is not None else shallow.default_k(lab, feats.valid_mask)
         model = shallow.kmeans_fit(feats, k, seed=args.seed)
+        # align on the float32 centroids the model file stores and predict uses
+        model.centroids = model.centroids.astype(np.float32).astype(np.float64)
         clusters = shallow.kmeans_cluster_ids(model, feats)
         model.cluster_to_class = shallow.align_clusters(clusters, lab, feats.valid_mask)
         curve = "iteration,inertia\n" + "".join(

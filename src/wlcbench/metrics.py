@@ -65,16 +65,13 @@ class MetricsReport:
     pixels: int
 
 
-def confusion(
+def _pair_counts(
     reference: LabelRaster,
     prediction: LabelRaster,
     eval_mask: np.ndarray | None = None,
-) -> ConfusionMatrix:
-    """Tally reference/prediction pairs over jointly valid pixels.
-
-    Pixels where either raster is 0 are excluded, on top of the optional
-    eval_mask (e.g. a Savanna-exclusion policy on the reference).
-    """
+) -> np.ndarray:
+    """Raw int64 counts of the 100 (reference, prediction) class pairs,
+    reference-major, over jointly valid pixels (see confusion)."""
     if reference.shape != prediction.shape:
         raise ValueError(
             f"shape mismatch: reference {reference.shape} vs prediction {prediction.shape}"
@@ -93,7 +90,20 @@ def confusion(
             )
         keep &= eval_mask.ravel()
     flat = (ref[keep].astype(np.int64) - 1) * N_SIMPLIFIED_CLASSES + (pred[keep].astype(np.int64) - 1)
-    return ConfusionMatrix(np.bincount(flat, minlength=N_SIMPLIFIED_CLASSES**2).reshape(_SQUARE))
+    return np.bincount(flat, minlength=N_SIMPLIFIED_CLASSES**2)
+
+
+def confusion(
+    reference: LabelRaster,
+    prediction: LabelRaster,
+    eval_mask: np.ndarray | None = None,
+) -> ConfusionMatrix:
+    """Tally reference/prediction pairs over jointly valid pixels.
+
+    Pixels where either raster is 0 are excluded, on top of the optional
+    eval_mask (e.g. a Savanna-exclusion policy on the reference).
+    """
+    return ConfusionMatrix(_pair_counts(reference, prediction, eval_mask).reshape(_SQUARE))
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
@@ -164,16 +174,17 @@ def aggregate_confusion(
     slots = {"lr", "hr"}
     if pred not in slots or ref not in slots:
         raise ValueError(f"pred/ref must be one of {sorted(slots)}")
-    total = ConfusionMatrix.zero()
+    total = np.zeros(N_SIMPLIFIED_CLASSES**2, dtype=np.int64)
     n = 0
     for patch in patches:
         rasters = {slot: as_simplified(patch.labels(slot)) for slot in (pred, ref)}
-        eval_mask = trainable_mask(rasters[ref], masked_classes)
-        total = total + confusion(rasters[ref], rasters[pred], eval_mask)
+        # without masked classes the mask is `ref != 0`, which the count applies
+        eval_mask = trainable_mask(rasters[ref], masked_classes) if masked_classes else None
+        total += _pair_counts(rasters[ref], rasters[pred], eval_mask)
         n += 1
     if n == 0:
         raise ValueError("no patches to evaluate")
-    return total
+    return ConfusionMatrix(total.reshape(_SQUARE))
 
 
 def lr_vs_hr_eval(

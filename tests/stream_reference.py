@@ -1,15 +1,16 @@
 """The split statistics as computed before the commands streamed their
 patches, kept as oracles: `transition` concatenated every patch's labels
-into one raster pair, and `stats` took two passes over a list of patches
-(one for the pixel counts, one for the classes per patch)."""
+into one raster pair, `stats` took two passes over a list of patches
+(one for the pixel counts, one for the classes per patch), and
+`aggregate_confusion` added one validated ConfusionMatrix per patch."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from wlcbench.dataset import N_SIMPLIFIED_CLASSES, LabelRaster, Scheme
-from wlcbench.labels import as_simplified
-from wlcbench.metrics import TransitionMatrix, confusion
+from wlcbench.labels import as_simplified, trainable_mask
+from wlcbench.metrics import ConfusionMatrix, TransitionMatrix, confusion
 
 
 def _simplified_values(raster: LabelRaster, patch_id: str) -> np.ndarray:
@@ -34,6 +35,17 @@ def reference_transition(patches) -> TransitionMatrix:
     nz = support > 0
     probs[nz] = joint[nz] / support[nz, None]
     return TransitionMatrix(probs=probs, row_support=support)
+
+
+def reference_aggregate_confusion(patches, pred, ref, masked_classes) -> ConfusionMatrix:
+    """The sum of each patch's confusion matrix, masked_classes dropped from
+    the reference side by a trainable_mask built for every patch."""
+    total = ConfusionMatrix.zero()
+    for patch in patches:
+        rasters = {slot: as_simplified(patch.labels(slot)) for slot in (pred, ref)}
+        eval_mask = trainable_mask(rasters[ref], masked_classes)
+        total = total + confusion(rasters[ref], rasters[pred], eval_mask)
+    return total
 
 
 def reference_class_histogram(patches, which: str = "lr"):

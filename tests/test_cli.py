@@ -14,6 +14,8 @@ from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
     Scheme,
+    SplitManifest,
+    SplitRole,
     iter_patches,
     load_manifest,
     save_manifest,
@@ -23,6 +25,8 @@ from wlcbench.labels import SAVANNA
 from wlcbench.maskedlr import LogRegConfig, LogRegModel
 from wlcbench.modelio import load_model, model_to_bytes
 from wlcbench.shallow import ForestModel, KMeansModel, Tree
+
+from conftest import make_patch
 
 SPLIT = ["--size", "32", "--block-factor", "8", "--n-scenes", "4", "--seed", "0"]
 
@@ -513,6 +517,50 @@ def test_predict_refuses_a_logreg_model_with_a_nan_bias(split_dir, tmp_path, cap
     assert out == ""
     assert "logreg bias must be finite" in single_json_error(err)["error"]
     assert not (tmp_path / "pred").exists()
+
+
+def test_kmeans_clusters_are_aligned_on_the_stored_float32_centroids(
+    tmp_path, capsys, monkeypatch
+):
+    """Pixel B (every feature 0.5) lies between the float64 and the float32
+    boundary of centroids 1 and 2: nearer 2 in float64, nearer 1 once the
+    centroids are rounded to the float32 the model file stores. Alignment
+    must use what predict uses, or B's cluster maps to a class B never had."""
+    s2 = np.full((10, 2, 2), 1000.0, dtype=np.float32)  # pixels A, class 1
+    s2[:, 1, 1] = 5000.0                                 # pixel B, class 2
+    lr = np.array([[1, 1], [1, 2]])
+    write_patch(make_patch(lr, s2=s2), tmp_path / "p0.wlcb")
+    save_manifest(SplitManifest("b", SplitRole.TRAIN, ("p0",)), tmp_path / "manifest.json")
+
+    p32, q32 = 0.5 + 2.0**-10, 0.5 - 2.0**-10 - 2.0**-25  # float32 values
+    centroids = np.full((3, 10), 0.5)
+    centroids[0] = 0.1
+    centroids[1, 0] = p32 + 0.75 * 2.0**-25  # rounds down to p32
+    centroids[2, 0] = q32 + 0.75 * 2.0**-26  # rounds down to q32
+    stored = centroids.astype(np.float32).astype(np.float64)
+    assert (stored[1:, 0] == [p32, q32]).all()
+    b = np.full((1, 10), 0.5)
+    assert shallow.kmeans_cluster_ids(
+        KMeansModel(centroids, 0.0, None, 0, 1, 1), b
+    ).tolist() == [2]
+    assert shallow.kmeans_cluster_ids(KMeansModel(stored, 0.0, None, 0, 1, 1), b).tolist() == [1]
+
+    monkeypatch.setattr(
+        shallow, "kmeans_fit",
+        lambda feats, k, seed: KMeansModel(centroids.copy(), 0.0, None, seed, 1, 1, (0.0,)),
+    )
+    code, _, _ = run(
+        capsys, "train", *split_args(tmp_path), "--model", "kmeans", "--k", "3",
+        "--out", str(tmp_path / "km.wlcm"),
+    )
+    assert code == 0
+    code, _, _ = run(
+        capsys, "predict", *split_args(tmp_path), "--model-file", str(tmp_path / "km.wlcm"),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 0
+    (pred,) = iter_patches(load_manifest(tmp_path / "pred" / "manifest.json"), tmp_path / "pred")
+    np.testing.assert_array_equal(pred.lr_labels.values, lr)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlcbench import metrics, shallow
+from wlcbench import metrics, modelio, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -37,6 +38,7 @@ from wlcbench.render import render_labels
 
 from conftest import make_patch
 from stream_reference import (
+    reference_aggregate_confusion,
     reference_class_histogram,
     reference_classes_per_patch,
     reference_transition,
@@ -80,6 +82,27 @@ def test_summed_transition_counts_equal_the_concatenated_ones(seed):
     np.testing.assert_array_equal(tm.probs, ref.probs)
     np.testing.assert_array_equal(tm.row_support, ref.row_support)
     np.testing.assert_array_equal(joint.counts.sum(axis=1), ref.row_support)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pred, ref", [("lr", "hr"), ("hr", "lr"), ("lr", "lr")])
+@pytest.mark.parametrize(
+    "masked", [frozenset(), frozenset({SAVANNA}), frozenset({1, 4, 10})], ids=["none", "sav", "three"]
+)
+def test_summed_pair_counts_equal_the_per_patch_matrices(seed, pred, ref, masked):
+    patches = seeded_patches(seed)
+    got = metrics.aggregate_confusion(iter(patches), pred=pred, ref=ref, masked_classes=masked)
+    want = reference_aggregate_confusion(patches, pred, ref, masked)
+    assert got.counts.dtype == np.int64
+    np.testing.assert_array_equal(got.counts, want.counts)
+
+
+def test_aggregate_confusion_keeps_the_per_patch_checks():
+    uneven = [make_patch([[1, 2]], [[1, 2]]), make_patch([[1, 2]], [[1], [2]], patch_id="p1")]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        metrics.aggregate_confusion(uneven)
+    with pytest.raises(ValueError, match="no patches"):
+        metrics.aggregate_confusion(iter([]))
 
 
 def test_transition_from_counts_keeps_the_joint_support_error():
@@ -389,3 +412,107 @@ def test_corrupted_containers_fail_cleanly_or_pass(mixed_split, rf_model, case):
                 assert code == 1 and out == ""
                 lines = err.strip().splitlines()
                 assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+# --- corrupted model files never crash predict -------------------------------
+
+@pytest.fixture(scope="module")
+def model_files(mixed_split, rf_model, tmp_path_factory):
+    d = tmp_path_factory.mktemp("models")
+    files = {"rf": Path(rf_model)}
+    for kind, flags in (("kmeans", ["--k", 4]), ("logreg", ["--epochs", 2])):
+        files[kind] = d / f"{kind}.wlcm"
+        code, _, err = cli("train", *split_args(mixed_split), "--model", kind, *flags,
+                           "--out", files[kind])
+        assert code == 0, err
+    return {kind: path.read_bytes() for kind, path in files.items()}
+
+
+def header_end(data: bytes) -> int:
+    """Offset past magic, version, kind byte and the kind's header fields."""
+    return 7 + struct.calcsize("<" + modelio._header_format(data[6]))
+
+
+def float_offsets(data: bytes) -> list[int]:
+    """Byte offsets of the float32 arrays of a .wlcm file: k-means centroids,
+    logreg weights and bias, every tree's thresholds and node probabilities."""
+    kind, off = data[6], header_end(data)
+    if kind == modelio.KIND_KMEANS:
+        k, d = struct.unpack_from("<II", data, 7)
+        start = off + 1 + k  # map flag, cluster -> class map
+        return list(range(start, start + 4 * k * d, 4))
+    if kind == modelio.KIND_LOGREG:
+        return list(range(off, len(data), 4))
+    offsets = []
+    while off < len(data):
+        (n,) = struct.unpack_from("<I", data, off)
+        off += 4 + 2 * n                             # n_nodes, features
+        offsets += range(off, off + 4 * n, 4)        # thresholds
+        off += 4 * n + 8 * n                         # thresholds, left, right
+        offsets += range(off, off + 40 * n, 4)       # probabilities
+        off += 40 * n
+    return offsets
+
+
+@st.composite
+def model_corruptions(draw, files):
+    kind = draw(st.sampled_from(sorted(files)))
+    data = files[kind]
+    how = draw(st.sampled_from(["truncate", "flip_header", "flip_payload", "non_finite"]))
+    if how == "truncate":
+        return kind, how, draw(st.integers(0, len(data) - 1))
+    end = header_end(data)
+    if how == "flip_header":
+        return kind, "flip", (draw(st.integers(0, end - 1)), draw(st.integers(1, 255)))
+    if how == "flip_payload":  # tree links and features, k-means map, float bits
+        return kind, "flip", (draw(st.integers(end, len(data) - 1)), draw(st.integers(1, 255)))
+    return kind, how, (draw(st.integers(0, 10**6)), draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+
+
+def corrupt_model(data: bytes, how, arg) -> bytes:
+    data = bytearray(data)
+    if how == "truncate":
+        return bytes(data[:arg])
+    if how == "flip":
+        data[arg[0]] ^= arg[1]
+        return bytes(data)
+    offsets = float_offsets(bytes(data))
+    off = offsets[arg[0] % len(offsets)]
+    data[off:off + 4] = np.array([arg[1]], dtype="<f4").tobytes()
+    return bytes(data)
+
+
+def loads(data: bytes) -> bool:
+    try:
+        modelio.model_from_bytes(data)
+    except modelio.ModelIOError:
+        return False
+    return True
+
+
+def test_float_offsets_cover_each_kind(model_files):
+    for kind, data in model_files.items():
+        offsets = float_offsets(data)
+        assert offsets and offsets[-1] + 4 <= len(data)
+        for off in offsets[:: max(1, len(offsets) // 50)]:
+            assert np.isfinite(np.frombuffer(data, "<f4", 1, off)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_corrupted_model_files_fail_cleanly_or_pass(mixed_split, model_files, data):
+    kind, how, arg = data.draw(model_corruptions(model_files))
+    bad = corrupt_model(model_files[kind], how, arg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.wlcm"
+        path.write_bytes(bad)
+        code, out, err = cli("predict", *split_args(mixed_split), "--model-file", path,
+                             "--out", Path(tmp) / "pred")
+    assert "Traceback" not in err
+    if code == 0:
+        assert loads(bad)
+        assert err == "" and len(out.strip().splitlines()) == 1
+    else:
+        assert code == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wlcbench.dataset import LabelRaster, Scheme, patch_to_bytes
 from wlcbench.labels import SAVANNA
@@ -14,9 +15,12 @@ from wlcbench.synth import (
     SynthConfig,
     default_synth_config,
     degrade_labels,
+    _voronoi_labels,
     generate_scene,
     generate_scenes,
 )
+
+from synth_reference import reference_generate_scene, reference_voronoi_labels
 
 
 def majority_block_oracle(block):
@@ -240,6 +244,73 @@ def test_sigma_bounds_band_values():
     patch = generate_scene(cfg)
     assert patch.s2.values.min() >= 0.0 and patch.s2.values.max() <= 1.0e4
     assert patch.s1.values.min() >= -25.0 and patch.s1.values.max() <= 0.0
+
+
+@st.composite
+def scene_configs(draw):
+    size = draw(st.integers(1, 64))
+    n_classes = draw(st.integers(1, 6))
+    weight = st.floats(0.01, 10.0)
+    return SynthConfig(
+        size=size,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_seeds_voronoi=draw(st.integers(1, 40)),
+        class_ids=tuple(draw(st.permutations(range(1, 11)))[:n_classes]),
+        class_means=tuple(
+            tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12)))
+            for _ in range(n_classes)
+        ),
+        class_weights=draw(
+            st.none() | st.lists(weight, min_size=n_classes, max_size=n_classes).map(tuple)
+        ),
+        sigma=draw(st.just(0.0) | st.floats(1e-3, 1.0)),
+        block_factor=draw(st.sampled_from([f for f in range(1, size + 1) if size % f == 0])),
+        p_flip=draw(st.floats(0.0, 1.0)),
+        savanna_rule=SavannaRule(p_sav=draw(st.floats(0.0, 1.0))),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene_configs(), st.integers(0, 2**32 - 1))
+def test_scene_bytes_equal_the_broadcast_distance_reference(cfg, seed):
+    got = generate_scene(cfg, seq=np.random.SeedSequence(seed))
+    want = reference_generate_scene(cfg, seq=np.random.SeedSequence(seed))
+    assert patch_to_bytes(got) == patch_to_bytes(want)
+
+
+class StubSites:
+    """Generator stand-in: fixed site fractions, site i labeled class_ids[i]."""
+
+    def __init__(self, fractions):
+        self.fractions = np.asarray(fractions, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.fractions.shape
+        return self.fractions.copy()
+
+    def choice(self, n, size, p):
+        return np.arange(size)
+
+
+@pytest.mark.parametrize(
+    "fractions, expected",
+    [
+        # site 0 at (0.5, 0.5), class 1; site 1 at (2.5, 2.5), class 4
+        ([[0.125, 0.125], [0.625, 0.625]],
+         [[1, 1, 1, 4], [1, 1, 4, 4], [1, 4, 4, 4], [4, 4, 4, 4]]),
+        # the same two points with the indices swapped: site 0 is (2.5, 2.5)
+        ([[0.625, 0.625], [0.125, 0.125]],
+         [[4, 4, 1, 1], [4, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]),
+    ],
+    ids=["lower-index-up-left", "lower-index-down-right"],
+)
+def test_equidistant_pixels_go_to_the_lowest_site_index(fractions, expected):
+    # The sites are symmetric about pixel centre (1.5, 1.5), so the
+    # anti-diagonal pixels tie exactly: (0, 2) lies 0 + 4 from one site and
+    # 4 + 0 from the other, (1, 1) 1 + 1 from both. Site 0 takes all three.
+    cfg = tiny_config(size=4, n_seeds_voronoi=2, block_factor=2)
+    for voronoi in (_voronoi_labels, reference_voronoi_labels):
+        np.testing.assert_array_equal(voronoi(cfg, StubSites(fractions)), expected)
 
 
 def test_generate_scene_deterministic():
