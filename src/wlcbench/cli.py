@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from . import metrics, modelio, shallow
 from .dataset import (
     LabelRaster,
     Patch,
@@ -33,10 +33,34 @@ from .dataset import (
     write_patch,
 )
 from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
-from .maskedlr import LogRegConfig, LogRegModel, logreg_fit, logreg_predict
-from .preprocess import FeatureMatrix, FusionConfig, assemble_features
 from .render import render_labels
-from .synth import default_synth_config, generate_scenes
+
+if TYPE_CHECKING:
+    from .maskedlr import LogRegConfig
+    from .preprocess import FeatureMatrix, FusionConfig
+
+# The model, feature and scene modules are imported inside the commands that
+# run them, so a command compiles and loads only what it uses.
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``wlcbench.<module>.<name>`` that imports the module
+    when first called. The commands look these names up on this module, so
+    ``perfbench/trace_child.py`` can wrap them and tests can patch them."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(
+            *args, **kwargs
+        )
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+generate_scenes = _on_first_call("synth", "generate_scenes")
+assemble_features = _on_first_call("preprocess", "assemble_features")
+logreg_fit = _on_first_call("maskedlr", "logreg_fit")
+logreg_predict = _on_first_call("maskedlr", "logreg_predict")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +118,8 @@ def _load_split(args) -> tuple[SplitManifest, Iterator[Patch]]:
 def _features_and_labels(patches: Iterator[Patch], fusion: FusionConfig):
     """Stacked feature rows and LR labels; each patch's band stacks can be
     freed once its features are assembled."""
+    from .preprocess import FeatureMatrix
+
     mats = []
     lab = []
     for patch in patches:
@@ -108,6 +134,8 @@ def _features_and_labels(patches: Iterator[Patch], fusion: FusionConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from .synth import default_synth_config
+
     config = default_synth_config(
         seed=args.seed,
         size=args.size,
@@ -165,6 +193,9 @@ def _check_train_flags(args) -> LogRegConfig | None:
     """Refuse, before any data is read, hyperparameters that the model file
     cannot hold, that the fit would refuse or that would leave an untrained
     model. Returns the logreg config (None for the other models)."""
+    from . import modelio, shallow
+    from .maskedlr import LogRegConfig, LogRegModel
+
     if args.model == "kmeans":
         modelio.check_fields(shallow.KMeansModel, seed=args.seed)
         if args.k is not None:
@@ -184,6 +215,9 @@ def _check_train_flags(args) -> LogRegConfig | None:
 
 
 def cmd_train(args) -> int:
+    from . import modelio, shallow
+    from .preprocess import FusionConfig
+
     config = _check_train_flags(args)
     _, patches = _load_split(args)
     fusion = FusionConfig.from_string(args.fusion)
@@ -227,6 +261,8 @@ def cmd_train(args) -> int:
 
 
 def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarray:
+    from . import shallow
+
     if isinstance(model, shallow.KMeansModel):
         return shallow.kmeans_predict(model, feats)
     if isinstance(model, shallow.ForestModel):
@@ -236,6 +272,9 @@ def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarr
 
 
 def cmd_predict(args) -> int:
+    from . import modelio
+    from .preprocess import FusionConfig
+
     manifest, patches = _load_split(args)
     model = modelio.load_model(args.model_file)  # before any patch is read or written
     fusion = FusionConfig.from_string(args.fusion)
@@ -258,6 +297,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
+
     _, patches = _load_split(args)
     masked = frozenset({SAVANNA}) if args.mask_savanna else frozenset()
     cm = metrics.aggregate_confusion(
@@ -275,6 +316,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_transition(args) -> int:
+    from . import metrics
+
     _, patches = _load_split(args)
     joint = metrics.aggregate_confusion(
         patches, pred="hr", ref="lr", masked_classes=frozenset()

@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -85,29 +84,31 @@ class BandStack:
 
 @dataclass(frozen=True)
 class LabelRaster:
-    """H×W uint8 class ids tagged with their scheme; 0 means invalid/no-data."""
+    """H×W uint8 class ids tagged with their scheme; 0 means invalid/no-data.
+
+    Construction refuses a class id above the scheme's largest; ``name`` is
+    how that error refers to the raster."""
 
     values: np.ndarray
     scheme: Scheme
+    name: InitVar[str] = "labels"
 
-    def __post_init__(self):
+    def __post_init__(self, name: str):
         v = np.asarray(self.values, dtype=np.uint8)
         if v.ndim != 2:
             raise ContainerError(f"label raster must be H×W, got shape {v.shape}")
+        top = self.scheme.max_class_id
+        if v.size and int(v.max()) > top:
+            idx = int(np.argmax(v.ravel() > top))
+            raise ContainerError(
+                f"illegal class id {int(v.flat[idx])} in {name} at pixel "
+                f"{idx} under scheme {self.scheme.name}"
+            )
         object.__setattr__(self, "values", v)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def validate(self, name: str = "labels") -> None:
-        bad = self.values > self.scheme.max_class_id
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
-            raise ContainerError(
-                f"illegal class id {int(self.values.flat[idx])} in {name} at pixel "
-                f"{idx} under scheme {self.scheme.name}"
-            )
 
 
 @dataclass
@@ -140,7 +141,8 @@ class Patch:
         return self.hr_labels
 
     def validate(self) -> None:
-        """Check all type invariants; raises ContainerError on the first violation."""
+        """Check the invariants between fields; raises ContainerError on the
+        first violation. Each LabelRaster checked its class ids when built."""
         h, w = self.s2.shape
         if h < 1 or w < 1:
             raise ContainerError(f"patch dimensions must be >= 1, got {h}x{w}")
@@ -159,7 +161,6 @@ class Patch:
             raise ContainerError(
                 f"lr_labels shape {self.lr_labels.shape} does not match {(h, w)}"
             )
-        self.lr_labels.validate("lr_labels")
         if self.hr_labels is not None:
             if self.hr_labels.shape != (h, w):
                 raise ContainerError(
@@ -167,7 +168,6 @@ class Patch:
                 )
             if self.hr_labels.scheme is not Scheme.SIMPLIFIED10:
                 raise ContainerError("hr_labels must use the SIMPLIFIED10 scheme")
-            self.hr_labels.validate("hr_labels")
 
 
 def _default_s2_names(n: int) -> tuple[str, ...]:
@@ -233,12 +233,12 @@ def read_patch(path: str | Path) -> Patch:
     hr_raster = None
     if hr_present:
         hr = np.frombuffer(data, dtype=np.uint8, count=plane, offset=off).reshape(h, w)
-        hr_raster = LabelRaster(hr.copy(), Scheme.SIMPLIFIED10)
+        hr_raster = LabelRaster(hr.copy(), Scheme.SIMPLIFIED10, "hr_labels")
 
     patch = Patch(
         id=path.stem,
         s2=s2,
-        lr_labels=LabelRaster(lr.copy(), scheme),
+        lr_labels=LabelRaster(lr.copy(), scheme, "lr_labels"),
         s1=s1,
         hr_labels=hr_raster,
     )
@@ -271,9 +271,17 @@ def patch_to_bytes(patch: Patch) -> bytes:
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write bytes via a same-directory temp file and rename."""
+    """Write bytes via a uniquely named same-directory temp file and rename.
+    The temp file is created with mode 0o666, so the umask sets the file's
+    permissions, as with ``open()``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -1,15 +1,21 @@
 """End-to-end command flows, exit codes, and the JSON error contract."""
 
+import argparse
+import contextlib
 import dataclasses
 import filecmp
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wlcbench import cli, shallow
+from wlcbench import cli, dataset, metrics, modelio, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -380,7 +386,7 @@ def test_train_refuses_unsavable_hyperparameters_before_fitting(
         raise AssertionError("data read")
 
     for name in ("kmeans_fit", "rf_fit"):
-        monkeypatch.setattr(cli.shallow, name, no_fit)
+        monkeypatch.setattr(shallow, name, no_fit)
     monkeypatch.setattr(cli, "logreg_fit", no_fit)
     monkeypatch.setattr(cli, "load_manifest", no_data)
     path = tmp_path / "m.wlcm"
@@ -604,7 +610,7 @@ def test_negative_seed_is_refused_before_reading_data(
         raise AssertionError("work started")
 
     for name in ("kmeans_fit", "rf_fit"):
-        monkeypatch.setattr(cli.shallow, name, no_work)
+        monkeypatch.setattr(shallow, name, no_work)
     for name in ("logreg_fit", "load_manifest", "generate_scenes"):
         monkeypatch.setattr(cli, name, no_work)
     argv = {
@@ -631,3 +637,246 @@ def test_console_entry_point_subprocess(split_dir, tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["patches"] == 4
+
+
+# --- what each command loads and calls --------------------------------------
+
+MODEL_MODULES = {"wlcbench.shallow", "wlcbench.modelio", "wlcbench.maskedlr"}
+
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from wlcbench.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('wlcbench'))]))\n"
+)
+
+
+def loaded_modules(*argv):
+    """The wlcbench modules a fresh interpreter holds after one command."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.strip().splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize("command", ["stats", "transition", "evaluate", "render"])
+def test_scoring_commands_load_no_model_feature_or_scene_module(split_dir, tmp_path, command):
+    out = ["--out", str(tmp_path / "out")] if command in ("transition", "render") else []
+    loaded = loaded_modules(command, *split_args(split_dir), *out)
+    assert "wlcbench.cli" in loaded
+    assert not loaded & (MODEL_MODULES | {"wlcbench.synth", "wlcbench.preprocess"})
+
+
+def test_synth_loads_no_model_module(tmp_path):
+    loaded = loaded_modules("synth", "--out", str(tmp_path / "s"), *SPLIT)
+    assert "wlcbench.synth" in loaded
+    assert not loaded & MODEL_MODULES
+
+
+# The layer trace in perfbench/trace_child.py wraps these attributes; a
+# command that reached a layer some other way would hide its time.
+TRACED = [
+    (cli, "write_patch"),
+    (cli, "class_histogram"),
+    (cli, "generate_scenes"),
+    (cli, "assemble_features"),
+    (cli, "logreg_fit"),
+    (cli, "logreg_predict"),
+    (cli, "render_labels"),
+    (dataset, "read_patch"),
+    (shallow, "rf_fit"),
+    (shallow, "rf_predict"),
+    (shallow, "kmeans_fit"),
+    (shallow, "kmeans_cluster_ids"),
+    (shallow, "align_clusters"),
+    (shallow, "kmeans_predict"),
+    (metrics, "aggregate_confusion"),
+    (metrics, "transition_matrix"),
+    (modelio, "save_model"),
+    (modelio, "load_model"),
+]
+
+
+def test_commands_call_through_every_traced_name(tmp_path, capsys, monkeypatch):
+    calls = set()
+
+    def counting(label, fn):
+        def counted(*args, **kwargs):
+            calls.add(label)
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in TRACED:
+        fn = getattr(owner, name)
+        assert callable(fn)
+        monkeypatch.setattr(owner, name, counting(name, fn))
+
+    d = tmp_path / "split"
+    steps = [
+        (["synth", "--out", str(d), *SPLIT], {"generate_scenes", "write_patch"}),
+        (["stats", *split_args(d)], {"read_patch", "class_histogram"}),
+        (["evaluate", *split_args(d)], {"read_patch", "aggregate_confusion"}),
+        (["transition", *split_args(d), "--out", str(tmp_path / "t.csv")],
+         {"read_patch", "aggregate_confusion", "transition_matrix"}),
+        (["render", *split_args(d), "--out", str(tmp_path / "ppm")],
+         {"read_patch", "render_labels"}),
+    ]
+    fits = {
+        "kmeans": (["--k", "3"], {"kmeans_fit", "kmeans_cluster_ids", "align_clusters"},
+                   "kmeans_predict"),
+        "rf": (["--trees", "1", "--depth", "3"], {"rf_fit"}, "rf_predict"),
+        "logreg": (["--epochs", "1"], {"logreg_fit"}, "logreg_predict"),
+    }
+    for model, (flags, fit_names, predict_name) in fits.items():
+        path = str(tmp_path / f"{model}.wlcm")
+        steps += [
+            (["train", *split_args(d), "--model", model, *flags, "--out", path],
+             {"read_patch", "assemble_features", "save_model", *fit_names}),
+            (["predict", *split_args(d), "--model-file", path,
+              "--out", str(tmp_path / f"pred-{model}")],
+             {"load_model", "read_patch", "assemble_features", predict_name, "write_patch"}),
+        ]
+    for argv, names in steps:
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert names <= calls, argv[0]
+
+
+# --- argv fuzz --------------------------------------------------------------
+
+def command_flags():
+    """Every long flag of every command, with its argparse action."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {
+            o: a for a in p._actions for o in a.option_strings
+            if o.startswith("--") and o != "--help"
+        }
+        for command, p in sub.choices.items()
+    }
+
+
+COMMAND_FLAGS = command_flags()
+
+BAD_VALUES = st.one_of(
+    st.sampled_from(["-1", str(2**31), str(2**32), str(2**63), str(10**30), "-" + str(2**63)]),
+    st.sampled_from(["abc", "", " 3", "1e400", "3.5", "0x10", "nan", "inf", "-inf", "1e-400"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers().map(str),
+)
+# Path values are tokens that the test maps to real paths.
+OUT_PATHS = st.sampled_from(["@fresh", "@fresh", "@under-a-file", "@a-directory"])
+PATH_VALUES = {
+    "--manifest": st.sampled_from(["@manifest", "@manifest", "@missing", "@a-file"]),
+    "--data-dir": st.sampled_from(["@split", "@split", "@missing"]),
+    "--model-file": st.sampled_from(["@kmeans", "@rf", "@logreg", "@missing", "@a-file"]),
+    "--out": OUT_PATHS,
+    "--csv": OUT_PATHS,
+    "--matrix": OUT_PATHS,
+}
+
+
+def valid_values(flag, action):
+    if flag in PATH_VALUES:
+        return PATH_VALUES[flag]
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is float:
+        return st.floats(0, 1).map(repr)
+    if action.type is cli._bool_flag:
+        return st.sampled_from(["true", "false", "0", "1"])
+    return st.integers(1, 8).map(str)
+
+
+@st.composite
+def fuzzed_argv(draw, command):
+    """One argv for ``command``: each flag given once, absent or repeated;
+    about one value in six is missing, non-numeric, negative or huge."""
+    argv = [command]
+    flags = COMMAND_FLAGS[command]
+    for flag in draw(st.permutations(sorted(flags))):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+            bad = draw(st.sampled_from([False] * 5 + [True]))
+            argv += [flag, draw(BAD_VALUES if bad else valid_values(flag, flags[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(split_dir, tmp_path_factory):
+    """The path tokens of PATH_VALUES; ``@tmp`` is a fresh directory per case."""
+    d = tmp_path_factory.mktemp("fuzz-models")
+    flags = {"kmeans": ["--k", "3"], "rf": ["--trees", "2", "--depth", "4"],
+             "logreg": ["--epochs", "2"]}
+    for model, extra in flags.items():
+        assert main(["train", *split_args(split_dir), "--model", model, *extra,
+                     "--out", str(d / f"{model}.wlcm")]) == 0
+    return {
+        "@manifest": split_dir / "manifest.json",
+        "@split": split_dir,
+        **{f"@{model}": d / f"{model}.wlcm" for model in flags},
+        "@fresh": Path("@tmp", "new"),
+        "@under-a-file": Path("@tmp", "a-file", "new"),
+        "@a-directory": Path("@tmp"),
+        "@a-file": Path("@tmp", "a-file"),
+        "@missing": Path("@tmp", "missing"),
+    }
+
+
+def refuse(*args, **kwargs):
+    raise ValueError("not run in the argv fuzz")
+
+
+def small_scenes_only(generate):
+    """Scene generation bounded to a few small scenes; larger requests fail
+    with a data error, so no fuzzed argv runs unbounded."""
+
+    def bounded(config, n_scenes):
+        if n_scenes > 3 or config.size > 40:
+            raise ValueError("not run in the argv fuzz")
+        return generate(config, n_scenes)
+
+    return bounded
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(fuzz_paths, command, data):
+    """Fits refuse and scene generation is bounded, so every case is quick;
+    a case may succeed or fail, but only with the CLI's error contract."""
+    drawn = data.draw(fuzzed_argv(command))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # a non-path value given to --out writes here
+        (Path(tmp) / "a-file").write_bytes(b"not json, not a model")
+        argv = [
+            str(fuzz_paths[v]).replace("@tmp", tmp, 1) if v in fuzz_paths else v
+            for v in drawn
+        ]
+        for name in ("kmeans_fit", "rf_fit"):
+            mp.setattr(shallow, name, refuse)
+        mp.setattr(cli, "logreg_fit", refuse)
+        mp.setattr(cli, "generate_scenes", small_scenes_only(cli.generate_scenes))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.strip()
+    else:
+        assert code in (1, 2), (argv, code)
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, (argv, err)
+        assert "error" in json.loads(lines[0])

@@ -1,6 +1,8 @@
 """Container format, manifests, and dataset statistics."""
 
 import json
+import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -156,6 +158,46 @@ def test_illegal_class_id_reported_with_location(tmp_path):
         read_patch(path)
 
 
+@pytest.mark.parametrize(
+    "index, field", [(-5, "lr_labels"), (-1, "hr_labels")], ids=["lr", "hr"]
+)
+def test_illegal_class_id_names_the_field_and_the_pixel(tmp_path, index, field):
+    blob = bytearray(_valid_blob())
+    blob[index] = 11  # the last pixel of the field
+    path = tmp_path / "m.wlcb"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError) as exc:
+        read_patch(path)
+    assert str(exc.value) == (
+        f"illegal class id 11 in {field} at pixel 3 under scheme SIMPLIFIED10"
+    )
+
+
+def test_read_patch_checks_each_label_raster_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.wlcb"
+    path.write_bytes(_valid_blob())
+    reads = []
+    top = Scheme.max_class_id
+
+    def counted(scheme):
+        reads.append(scheme)
+        return top.fget(scheme)
+
+    monkeypatch.setattr(Scheme, "max_class_id", property(counted))
+    read_patch(path)
+    assert reads == [Scheme.SIMPLIFIED10, Scheme.SIMPLIFIED10]  # lr, then hr
+
+
+@pytest.mark.parametrize("scheme, top", [(Scheme.SIMPLIFIED10, 10), (Scheme.IGBP17, 17)])
+def test_label_raster_refuses_a_class_id_above_its_scheme(scheme, top):
+    assert LabelRaster(np.array([[top, 0]]), scheme).values.max() == top
+    with pytest.raises(
+        ContainerError,
+        match=f"^illegal class id {top + 1} in labels at pixel 1 under scheme {scheme.name}$",
+    ):
+        LabelRaster(np.array([[1, top + 1]]), scheme)
+
+
 def test_nonfinite_payload_rejected_with_offset(tmp_path):
     blob = bytearray(_valid_blob())
     blob[18:22] = struct.pack("<f", np.nan)  # first s2 float
@@ -180,6 +222,29 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write(tmp_path / "out.bin", b"abc")
     assert (tmp_path / "out.bin").read_bytes() == b"abc"
     assert [f.name for f in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_honours_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "out.bin", b"abc")
+        write_patch(make_patch(np.ones((2, 2))), tmp_path / "p.wlcb")
+    finally:
+        os.umask(old)
+    for name in ("out.bin", "p.wlcb"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_atomic_write_skips_a_taken_temp_name(tmp_path, monkeypatch):
+    taken = tmp_path / "out.bin.00000000"
+    taken.write_bytes(b"other")
+    draws = iter([b"\0\0\0\0", b"\0\0\0\1"])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    atomic_write(tmp_path / "out.bin", b"abc")
+    assert (tmp_path / "out.bin").read_bytes() == b"abc"
+    assert taken.read_bytes() == b"other"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.bin", taken.name]
 
 
 # --- manifests ----------------------------------------------------------

@@ -82,9 +82,8 @@ def test_simplify_rejects_simplified_input():
 
 
 def test_simplify_rejects_out_of_range_id():
-    raster = LabelRaster(np.full((1, 1), 18, dtype=np.uint8), Scheme.IGBP17)
     with pytest.raises((SchemeError, ValueError)):
-        simplify_igbp(raster)
+        simplify_igbp(LabelRaster(np.full((1, 1), 18, dtype=np.uint8), Scheme.IGBP17))
 
 
 def test_as_simplified_simplifies_igbp_and_passes_simplified_through():

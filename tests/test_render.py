@@ -70,7 +70,6 @@ def test_rejects_igbp_scheme():
 
 
 def test_rejects_illegal_class_id():
-    bad = LabelRaster(np.array([[11]], dtype=np.uint8), Scheme.SIMPLIFIED10)
     with pytest.raises(ValueError, match="illegal class id"):
-        render_labels(bad)
+        render_labels(LabelRaster(np.array([[11]], dtype=np.uint8), Scheme.SIMPLIFIED10))
 
