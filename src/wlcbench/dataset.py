@@ -143,6 +143,14 @@ class Patch:
     def validate(self) -> None:
         """Check the invariants between fields; raises ContainerError on the
         first violation. Each LabelRaster checked its class ids when built."""
+        self._check_layout()
+        if self.s1 is not None and not np.isfinite(self.s1.values).all():
+            raise ContainerError("non-finite value in s1 bands")
+        if not np.isfinite(self.s2.values).all():
+            raise ContainerError("non-finite value in s2 bands")
+
+    def _check_layout(self) -> None:
+        """validate() without the band values' finiteness pass."""
         h, w = self.s2.shape
         if h < 1 or w < 1:
             raise ContainerError(f"patch dimensions must be >= 1, got {h}x{w}")
@@ -153,10 +161,6 @@ class Patch:
                 raise ContainerError(
                     f"s1 shape {self.s1.shape} does not match s2 shape {(h, w)}"
                 )
-            if not np.isfinite(self.s1.values).all():
-                raise ContainerError("non-finite value in s1 bands")
-        if not np.isfinite(self.s2.values).all():
-            raise ContainerError("non-finite value in s2 bands")
         if self.lr_labels.shape != (h, w):
             raise ContainerError(
                 f"lr_labels shape {self.lr_labels.shape} does not match {(h, w)}"
@@ -242,7 +246,7 @@ def read_patch(path: str | Path) -> Patch:
         s1=s1,
         hr_labels=hr_raster,
     )
-    patch.validate()
+    patch._check_layout()  # take_planes checked every band value
     return patch
 
 

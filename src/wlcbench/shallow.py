@@ -379,12 +379,14 @@ class ForestModel:
 
 
 # Cuts whose Gini proxy lies within this relative distance of the best proxy
-# are re-scored with the float formula that decides the split. The proxy
-# P = sum_c L_c^2/n_L + sum_c R_c^2/n_R is exact up to one rounding per
+# are re-scored with the float formula that decides the split. Let N be the
+# node's total bootstrap weight, N_L and N_R the weights on either side of
+# a cut, and L_c, R_c the weights of class c there. The proxy
+# P = sum_c L_c^2/N_L + sum_c R_c^2/N_R is exact up to one rounding per
 # term (relative error < 1e-15), and the float weighted Gini equals
-# (n - P)/n up to an absolute error below 1e-14 (a few roundings of values
+# (N - P)/N up to an absolute error below 1e-14 (a few roundings of values
 # <= 1 over 10 classes). A cut outside the window has an exact weighted Gini
-# at least 1e-9 * P/n >= 1e-10 above the best (P >= n/10), which no float
+# at least 1e-9 * P/N >= 1e-10 above the best (P >= N/10), which no float
 # error of 1e-14 can close, so the float argmin is always inside the window.
 _PROXY_RTOL = 1e-9
 
@@ -423,77 +425,107 @@ def _stable_order(ranks: np.ndarray) -> np.ndarray:
     return order
 
 
-def _presorted_split(ranks, labels, counts):
+def _presorted_split(ranks, labels, weights, counts):
     """Lowest weighted Gini cut of one node over its drawn features.
 
-    Row r of ``ranks`` and ``labels`` holds the value ranks and class ids of
-    the node's rows, sorted stably by drawn feature r; ``counts`` is the
-    node's class histogram. Cuts lie between distinct neighbors. They are
-    ranked by an integer-count proxy and the near-best ones re-scored in
-    float; ties go to the first cut, then the first drawn feature. Returns
-    (r, i), a cut after sorted element i of row r, or None when every drawn
-    feature is constant.
+    Row r of ``ranks``, ``labels`` and ``weights`` holds the value ranks,
+    class ids and bootstrap multiplicities of the node's distinct rows,
+    sorted stably by drawn feature r; ``counts`` is the node's class
+    histogram, weighted by multiplicity. Cuts lie between distinct
+    neighbors, and each is scored as if every row appeared as often as it
+    was drawn. They are ranked by an integer-count proxy and the near-best
+    ones re-scored in float; ties go to the first cut, then the first drawn
+    feature. Returns (r, i), a cut after sorted element i of row r, or None
+    when every drawn feature is constant.
     """
-    m, n = ranks.shape
-    cut = ranks[:, 1:] != ranks[:, :-1]
-    if not cut.any():
+    m, k = ranks.shape
+    if (ranks[:, 0] == ranks[:, -1]).all():  # each row is sorted
         return None
-    # Moving an element of class c to the left side raises sum_c L_c^2 by
-    # 2*L_c + 1, where L_c counts the earlier elements of class c in its row
-    # (its rank in a stable sort of the row by class), and raises
-    # sum_c T_c L_c by T_c. With T the node's class counts,
-    # sum_c R_c^2 = sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2.
+    # Moving an element of class c and weight w to the left side raises
+    # sum_c L_c^2 by (2*W + w)*w, where W is the weight of the earlier
+    # elements of class c in its row (found by a stable sort of the row by
+    # class), and raises sum_c T_c L_c by T_c*w. With T the node's class
+    # counts, sum_c R_c^2 = sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2.
+    # The rows are indexed flat, element i of row r at r*k + i: numpy's
+    # 1-D take and scatter are faster than its 2-D fancy indexing.
     by_class = np.argsort(labels, axis=1, kind="stable").astype(np.int32)
+    class_sorted = labels[0].take(by_class[0])  # the same in every row
+    by_class += np.arange(0, m * k, k, dtype=np.int32)[:, None]
     starts = np.cumsum(counts) - counts
-    class_sorted = np.repeat(np.arange(len(counts)), counts)
-    rise = np.empty((m, n), dtype=np.int32)
-    rise[np.arange(m)[:, None], by_class] = 2 * (np.arange(n) - starts[class_sorted]) + 1
-    left_sq = np.cumsum(rise, axis=1, dtype=np.int64)
+    w = weights.take(by_class)
+    before = np.cumsum(w, axis=1, dtype=np.int32)
+    before -= w
+    before -= starts.astype(np.int32).take(class_sorted)
+    gain = np.add(before, w, dtype=np.int64)
+    gain += before
+    gain *= w
+    del before
+    rise = np.empty(m * k, dtype=np.int64)
+    rise[by_class] = gain
+    del gain
+    left_sq = np.cumsum(rise.reshape(m, k), axis=1)
     del rise
     right_sq = counts.take(labels)
+    right_sq *= weights
     np.cumsum(right_sq, axis=1, out=right_sq)
     right_sq *= -2
     right_sq += left_sq
     right_sq += int(counts @ counts)
-    left_n = np.arange(1, n)
-    proxy = left_sq[:, :-1] / left_n
-    proxy += right_sq[:, :-1] / (n - left_n)
-    proxy[~cut] = -1.0
+    node_weight = int(counts.sum())
+    side_n = np.cumsum(weights[:, :-1], axis=1, dtype=np.int32)
+    proxy = left_sq[:, :-1] / side_n
+    del left_sq
+    np.subtract(node_weight, side_n, out=side_n)
+    right = right_sq[:, :-1] / side_n
+    del right_sq, side_n
+    proxy += right
+    del right
+    proxy[ranks[:, 1:] == ranks[:, :-1]] = -1.0
     best = proxy.max()
     cand = np.flatnonzero(proxy >= best - best * _PROXY_RTOL)
     if len(cand) > 1:
-        # Left class counts of each candidate: binary search in the rows'
-        # class-sorted positions, keyed (row, class, position).
-        cand_row, cand_pos = np.divmod(cand, n - 1)
-        row_class = np.arange(m)[:, None] * len(counts) + class_sorted
-        keys = (row_class * n + by_class).ravel()
+        # Left class weights of each candidate: binary search in the rows'
+        # class-sorted positions, keyed (row*11 + class)*k + position (r*k
+        # is in by_class already), then the weights summed up to the match.
+        cand_row, cand_pos = np.divmod(cand, k - 1)
+        row = np.arange(m)[:, None]
+        keys = (by_class + k * (N_SIMPLIFIED_CLASSES * row + class_sorted)).ravel()
         classes = np.arange(1, N_SIMPLIFIED_CLASSES + 1)
-        query = (cand_row[:, None] * len(counts) + classes) * n + cand_pos[:, None]
-        left_cnt = np.searchsorted(keys, query, side="right")
-        left_cnt -= cand_row[:, None] * n + starts[classes]
+        query = (cand_row[:, None] * len(counts) + classes) * k + cand_pos[:, None]
+        summed = np.zeros(m * k + 1, dtype=np.int64)
+        np.cumsum(w, out=summed[1:])
+        left_cnt = summed.take(np.searchsorted(keys, query, side="right"))
+        left_cnt -= cand_row[:, None] * node_weight + starts[classes]
         total = counts[1:].astype(np.float64)
         cand = cand[[_weighted_gini(left_cnt.astype(np.float64), total).argmin()]]
-    return divmod(int(cand[0]), n - 1)
+    return divmod(int(cand[0]), k - 1)
 
 
 def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
     """Grow one tree on the bootstrap sample ``boot`` of the training rows.
 
     Training row i is row ``rows[i]`` of X, has class ``y[i]`` and value
-    rank ``ranks[f, i]`` in feature f. Every feature is sorted once, stably,
-    so each position list below is ordered by (value, bootstrap position);
-    a split partitions the lists stably, so a node sees the order a stable
-    sort of its own rows gives. An explicit stack visits nodes in pre-order:
-    numbering and generator draws follow the node order, and depth is not
-    bounded by recursion.
+    rank ``ranks[f, i]`` in feature f. The tree holds each drawn row once,
+    weighted by how often ``boot`` drew it: every count is the one the full
+    sample gives, so the tree is the one grown on the full sample. Every
+    feature is sorted once, stably, so each position list below is ordered
+    by (value, row); a split partitions the lists stably, so a node sees
+    the order a stable sort of its own rows gives. Feature f's ranks sit at
+    offset f*k in one flat array of the k distinct rows. An explicit stack
+    visits nodes in pre-order: numbering and generator draws follow the
+    node order, and depth is not bounded by recursion.
     """
-    ranks = ranks[:, boot]
-    labels = y[boot]
-    d, n = ranks.shape
-    orders = np.empty((d, n), dtype=np.int32)
+    mult = np.bincount(boot, minlength=len(rows))
+    distinct = np.flatnonzero(mult)
+    weights = mult.take(distinct).astype(np.int32)
+    ranks = ranks.take(distinct, axis=1)
+    labels = y.take(distinct)
+    d, k = ranks.shape
+    orders = np.empty((d, k), dtype=np.int32)
     for f in range(d):
         orders[f] = _stable_order(ranks[f])
-    goes_left = np.zeros(n, dtype=bool)
+    ranks = ranks.ravel()
+    goes_left = np.zeros(k, dtype=bool)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -514,18 +546,28 @@ def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
         right.append(-1)
         probs.append(zero)
 
-        counts = np.bincount(labels[orders[0]], minlength=N_SIMPLIFIED_CLASSES + 1)
+        # float sums of whole weights, exact far beyond any row count
+        counts = np.bincount(
+            labels.take(orders[0]),
+            weights=weights.take(orders[0]),
+            minlength=N_SIMPLIFIED_CLASSES + 1,
+        ).astype(np.int64)
         split = None
         if depth < max_depth and np.count_nonzero(counts) > 1:
             drawn = rng.choice(d, size=m_try, replace=False)
             sub = orders[drawn]
-            split = _presorted_split(ranks[drawn[:, None], sub], labels.take(sub), counts)
+            split = _presorted_split(
+                ranks.take(sub + k * drawn[:, None]),
+                labels.take(sub),
+                weights.take(sub),
+                counts,
+            )
         if split is None:
             probs[node] = _leaf_probs(counts)
             continue
         row, pos = split
         f = int(drawn[row])
-        lo, hi = (float(X[rows[boot[p]], f]) for p in sub[row, pos : pos + 2])
+        lo, hi = (float(X[rows[distinct[p]], f]) for p in sub[row, pos : pos + 2])
         thr = 0.5 * (lo + hi)
         if thr >= hi:  # rounding merged the midpoint into the upper value
             thr = lo
@@ -569,12 +611,15 @@ def rf_fit(
 
     Each tree sees a same-size bootstrap sample and draws ceil(sqrt(d))
     candidate features per node from its own derived generator, so results
-    do not depend on any execution order. Split search is exact: each tree
-    sorts every feature once and partitions the sorted orders at each split,
-    and a node takes the lowest weighted Gini cut over its drawn features
-    (first cut, then first drawn feature, on ties). The threshold is the
-    midpoint between the two values the cut separates. A node becomes a leaf
-    at max_depth, when it is pure, or when its drawn features are constant.
+    do not depend on any execution order. A tree keeps each row its sample
+    drew once, weighted by the number of draws: about 63% as many rows as
+    the sample, with the same class counts and the same trees. Split search
+    is exact: each tree sorts every feature once and partitions the sorted
+    orders at each split, and a node takes the lowest weighted Gini cut over
+    its drawn features (first cut, then first drawn feature, on ties). The
+    threshold is the midpoint between the two values the cut separates. A
+    node becomes a leaf at max_depth, when it is pure, or when its drawn
+    features are constant.
     """
     check_forest_size(n_trees, max_depth)
     X_all, rows = training_rows(features, labels)

@@ -188,6 +188,22 @@ def test_read_patch_checks_each_label_raster_once(tmp_path, monkeypatch):
     assert reads == [Scheme.SIMPLIFIED10, Scheme.SIMPLIFIED10]  # lr, then hr
 
 
+def test_read_patch_checks_each_band_value_once(tmp_path, monkeypatch):
+    lr = np.arange(4, dtype=np.uint8).reshape(2, 2) % 10 + 1
+    path = tmp_path / "m.wlcb"
+    path.write_bytes(patch_to_bytes(make_patch(lr, s1=np.zeros((2, 2, 2)))))
+    checked = []
+    isfinite = np.isfinite
+
+    def counted(values, *args, **kwargs):
+        checked.append(np.size(values))
+        return isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    read_patch(path)
+    assert checked == [2 * 4, 10 * 4]  # the s1 planes, then the s2 planes
+
+
 @pytest.mark.parametrize("scheme, top", [(Scheme.SIMPLIFIED10, 10), (Scheme.IGBP17, 17)])
 def test_label_raster_refuses_a_class_id_above_its_scheme(scheme, top):
     assert LabelRaster(np.array([[top, 0]]), scheme).values.max() == top

@@ -3,11 +3,12 @@
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from wlcbench.preprocess import FeatureMatrix
 from wlcbench.shallow import (
@@ -638,13 +639,101 @@ def tie_heavy_training_sets(draw):
 def test_rf_fit_matches_the_per_node_sorting_reference(data, max_depth, n_trees, seed):
     X, y = data
     model = rf_fit(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
-    reference = reference_trees(X, y, n_trees, max_depth, seed)
+    assert_matches_reference(model, X, y)
+
+
+def assert_matches_reference(model, X, y):
+    """Every tree equals, field for field and bit for bit, the tree the
+    reference grows on the expanded bootstrap sample."""
+    reference = reference_trees(X, y, model.n_trees, model.max_depth, model.seed)
     assert len(model.trees) == len(reference)
     for tree, ref in zip(model.trees, reference):
         fields = (tree.feature, tree.threshold, tree.left, tree.right, tree.probs)
         for got, want in zip(fields, ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def heavy_multiplicity_training_sets(draw):
+    """Up to 2000 rows, each a copy of one of at most 12 rows over _LEVELS:
+    the grower weights each bootstrap row by how often it was drawn, and
+    cuts fall between tie groups that weigh tens to hundreds of rows. Some
+    columns repeat the one before, so cuts on two drawn features tie
+    exactly and the float re-score decides."""
+    d = draw(st.integers(2, 4))
+    n_distinct = draw(st.integers(2, 12))
+    distinct = np.array(
+        [[draw(st.sampled_from(_LEVELS)) for _ in range(d)] for _ in range(n_distinct)]
+    )
+    for f in range(1, d):
+        if draw(st.booleans()):
+            distinct[:, f] = distinct[:, f - 1]
+    classes = draw(st.lists(st.integers(1, 10), min_size=2, max_size=3, unique=True))
+    classes = np.array(classes, dtype=np.uint8)
+    n = draw(st.integers(1, 2000))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = g.integers(0, n_distinct, n)
+    # half the rows take their distinct row's class, half a random one
+    y = np.where(g.random(n) < 0.5, classes[pick % len(classes)], g.choice(classes, n))
+    return distinct[pick], y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=heavy_multiplicity_training_sets(),
+    max_depth=st.integers(1, 6),
+    n_trees=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_grower_matches_the_expanded_sample_reference(data, max_depth, n_trees, seed):
+    X, y = data
+    split, gini = shallow._presorted_split, shallow._weighted_gini
+    rescored_heavy = []
+
+    def spy(ranks, labels, weights, counts):
+        calls = rescore.call_count
+        result = split(ranks, labels, weights, counts)
+        rescored_heavy.append(rescore.call_count > calls and weights.max() > 1)
+        return result
+
+    with mock.patch.object(shallow, "_weighted_gini", wraps=gini) as rescore, \
+            mock.patch.object(shallow, "_presorted_split", spy):
+        model = rf_fit(X, y, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    event(f"float re-score with a weight > 1: {any(rescored_heavy)}")
+    assert_matches_reference(model, X, y)
+
+
+@pytest.mark.parametrize("n, seed, drawn", [(1, 0, 0), (5, 1420, 1)])
+def test_weighted_grower_on_a_bootstrap_of_one_row(n, seed, drawn):
+    # With these seeds the bootstrap draws row `drawn` n times: the tree is
+    # one leaf of weight n, whatever the other rows hold.
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = 1 + np.arange(n, dtype=np.uint8) % 3
+    boot = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).integers(0, n, n)
+    np.testing.assert_array_equal(boot, np.full(n, drawn))
+    model = rf_fit(X, y, n_trees=1, max_depth=3, seed=seed)
+    assert model.trees[0].n_nodes == 1
+    np.testing.assert_array_equal(model.trees[0].probs[0], np.eye(10)[y[drawn] - 1])
+    assert_matches_reference(model, X, y)
+
+
+def test_rf_fit_scratch_memory_stays_within_three_inputs():
+    # 12 columns, as with s1s2 features. The fit holds int32 ranks (half
+    # the input) and, per tree, int32 ranks and sorted orders of the
+    # distinct bootstrap rows; a split adds a few int64 and int32 arrays of
+    # m_try rows each.
+    rng = np.random.default_rng(7)
+    X = rng.random((50_000, 12))
+    y = rng.integers(1, 11, len(X)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        rf_fit(X, y, n_trees=1, max_depth=3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * X.nbytes
 
 
 @settings(max_examples=200, deadline=None)
