@@ -32,7 +32,11 @@ scenes = generate_scenes(cfg, 12)
 train, test = scenes[:8], scenes[8:]
 
 fusion = FusionConfig()  # ten surface bands, no radar
-feats = FeatureMatrix.concat([assemble_features(p, fusion) for p in train])
+per_patch = [assemble_features(p, fusion) for p in train]
+feats = FeatureMatrix(
+    np.vstack([m.values for m in per_patch]),
+    np.concatenate([m.valid_mask for m in per_patch]),
+)
 weak = np.concatenate([p.lr_labels.values.ravel() for p in train])
 keep = np.concatenate([trainable_mask(p.lr_labels).ravel() for p in train])
 align_mask = feats.valid_mask & keep

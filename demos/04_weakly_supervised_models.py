@@ -28,7 +28,11 @@ scenes = generate_scenes(cfg, 14)
 train, holdout_scene, test = scenes[:9], scenes[9], scenes[10:]
 
 fusion = FusionConfig.from_string("s1s2")  # radar helps, and it costs one flag
-feats = FeatureMatrix.concat([assemble_features(p, fusion) for p in train])
+per_patch = [assemble_features(p, fusion) for p in train]
+feats = FeatureMatrix(
+    np.vstack([m.values for m in per_patch]),
+    np.concatenate([m.valid_mask for m in per_patch]),
+)
 weak = np.concatenate([p.lr_labels.values.ravel() for p in train])
 keep = np.concatenate([trainable_mask(p.lr_labels).ravel() for p in train])
 feats = feats.with_mask(keep)  # Savanna and no-data never train a model

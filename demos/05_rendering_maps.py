@@ -26,7 +26,11 @@ scenes = generate_scenes(cfg, 3)
 train, scene = scenes[:2], scenes[2]
 
 fusion = FusionConfig()
-feats = FeatureMatrix.concat([assemble_features(p, fusion) for p in train])
+per_patch = [assemble_features(p, fusion) for p in train]
+feats = FeatureMatrix(
+    np.vstack([m.values for m in per_patch]),
+    np.concatenate([m.valid_mask for m in per_patch]),
+)
 weak = np.concatenate([p.lr_labels.values.ravel() for p in train])
 keep = np.concatenate([trainable_mask(p.lr_labels).ravel() for p in train])
 forest = rf_fit(feats.with_mask(keep), weak, n_trees=10, max_depth=8, seed=0)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .dataset import (
+    ContainerError,
     LabelRaster,
     Patch,
     Scheme,
@@ -26,6 +27,7 @@ from .dataset import (
     SplitRole,
     atomic_write,
     class_histogram,
+    iter_headers,
     iter_patches,
     load_manifest,
     save_manifest,
@@ -115,18 +117,30 @@ def _load_split(args) -> tuple[SplitManifest, Iterator[Patch]]:
     return manifest, patches
 
 
-def _features_and_labels(patches: Iterator[Patch], fusion: FusionConfig):
-    """Stacked feature rows and LR labels; each patch's band stacks can be
-    freed once its features are assembled."""
+def _features_and_labels(args, fusion: FusionConfig):
+    """Feature rows and LR labels of the whole split, in one matrix sized
+    from the container headers. Each patch's rows, valid mask and labels are
+    written to their slice as the stream reaches it, so the peak holds the
+    matrix plus one patch."""
     from .preprocess import FeatureMatrix
 
-    mats = []
-    lab = []
-    for patch in patches:
-        mats.append(assemble_features(patch, fusion))
-        lab.append(patch.lr_labels.values.ravel())
-    feats = mats[0] if len(mats) == 1 else FeatureMatrix.concat(mats)
-    return feats, np.concatenate(lab)
+    manifest, patches = _load_split(args)
+    pixels = [header.pixels for header in iter_headers(manifest, args.data_dir)]
+    n = sum(pixels)
+    values = np.empty((n, fusion.d))
+    valid = np.empty(n, dtype=bool)
+    labels = np.empty(n, dtype=np.uint8)
+    stop = 0
+    for patch, size in zip(patches, pixels):
+        if patch.height * patch.width != size:
+            raise ContainerError(
+                f"patch {patch.id!r} has {patch.height * patch.width} pixels, "
+                f"but its header read {size} when the split was sized"
+            )
+        start, stop = stop, stop + size
+        valid[start:stop] = assemble_features(patch, fusion, out=values[start:stop]).valid_mask
+        labels[start:stop] = patch.lr_labels.values.ravel()
+    return FeatureMatrix(values, valid), labels
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +233,8 @@ def cmd_train(args) -> int:
     from .preprocess import FusionConfig
 
     config = _check_train_flags(args)
-    _, patches = _load_split(args)
     fusion = FusionConfig.from_string(args.fusion)
-    feats, lab = _features_and_labels(patches, fusion)
+    feats, lab = _features_and_labels(args, fusion)
     if args.mask_savanna:
         feats = feats.with_mask(lab != SAVANNA)
 
@@ -273,19 +286,25 @@ def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarr
 
 def cmd_predict(args) -> int:
     from . import modelio
-    from .preprocess import FusionConfig
+    from .preprocess import FusionConfig, check_width
 
     manifest, patches = _load_split(args)
-    model = modelio.load_model(args.model_file)  # before any patch is read or written
+    # the model and its width are checked before any patch is read or written
+    model = modelio.load_model(args.model_file)
     fusion = FusionConfig.from_string(args.fusion)
+    check_width(fusion.d, model.d)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # one feature buffer, overwritten by each patch: no patch's features
+    # outlive it, and the allocator is not asked for a new matrix each time
+    rows = np.empty((0, fusion.d))
     for patch in patches:
-        feats = assemble_features(patch, fusion)
+        n = patch.height * patch.width
+        if len(rows) < n:
+            rows = np.empty((n, fusion.d))
+        feats = assemble_features(patch, fusion, out=rows[:n])
         pred = _predict_vector(model, feats, args.mask_savanna)
-        raster = LabelRaster(
-            pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10
-        )
+        raster = LabelRaster(pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10)
         write_patch(dataclasses.replace(patch, lr_labels=raster), out / f"{patch.id}.wlcb")
     # last, so a run that fails partway leaves no manifest to read it by
     save_manifest(

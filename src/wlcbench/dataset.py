@@ -182,13 +182,34 @@ def _default_s2_names(n: int) -> tuple[str, ...]:
     return tuple(f"S2_{i + 1}" for i in range(n))
 
 
-def read_patch(path: str | Path) -> Patch:
-    """Load and validate a WLCB container; the patch id is the file stem."""
-    path = Path(path)
-    data = path.read_bytes()
+@dataclass(frozen=True)
+class ContainerHeader:
+    """The fixed-size header of a WLCB container: what it holds and its size."""
+
+    height: int
+    width: int
+    s1_present: bool
+    s2_bands: int
+    hr_present: bool
+    scheme: Scheme
+
+    @property
+    def pixels(self) -> int:
+        return self.height * self.width
+
+    @property
+    def size(self) -> int:
+        """Bytes of the whole container this header describes."""
+        n_float_planes = (2 if self.s1_present else 0) + self.s2_bands
+        return _HEADER.size + self.pixels * (4 * n_float_planes + 1 + self.hr_present)
+
+
+def _read_header(fh, path: Path) -> ContainerHeader:
+    """Parse and check the header at the start of the open file fh."""
+    data = fh.read(_HEADER.size)
     if len(data) < _HEADER.size:
         raise ContainerError(f"truncated header: {len(data)} bytes at offset 0 in {path}")
-    magic, version, h, w, s1_present, s2_bands, hr_present, scheme_id = _HEADER.unpack_from(data)
+    magic, version, h, w, s1_present, s2_bands, hr_present, scheme_id = _HEADER.unpack(data)
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r} at offset 0 in {path}")
     if version != FORMAT_VERSION:
@@ -203,46 +224,72 @@ def read_patch(path: str | Path) -> Patch:
         scheme = Scheme(scheme_id)
     except ValueError:
         raise ContainerError(f"unknown scheme id {scheme_id} at offset 17") from None
+    return ContainerHeader(h, w, bool(s1_present), s2_bands, bool(hr_present), scheme)
 
-    plane = h * w
-    n_float_planes = (2 if s1_present else 0) + s2_bands
-    expected = _HEADER.size + 4 * plane * n_float_planes + plane * (1 + hr_present)
-    if len(data) != expected:
-        raise ContainerError(
-            f"container size {len(data)} != expected {expected} "
-            f"(truncated or trailing bytes after offset {min(len(data), expected)})"
-        )
 
-    off = _HEADER.size
+def read_header(path: str | Path) -> ContainerHeader:
+    """Read and check only the header of a WLCB container; a bad header
+    raises the ContainerError read_patch raises for it."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def _size_error(size: int, expected: int) -> ContainerError:
+    return ContainerError(
+        f"container size {size} != expected {expected} "
+        f"(truncated or trailing bytes after offset {min(size, expected)})"
+    )
+
+
+def read_patch(path: str | Path) -> Patch:
+    """Load and validate a WLCB container; the patch id is the file stem.
+
+    The payload is read once into one buffer, and the band stacks and label
+    rasters are views of it."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        expected = header.size
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise _size_error(size, expected)
+        # the float planes start at offset 0 of the (aligned) payload buffer
+        payload = np.empty(expected - _HEADER.size, dtype=np.uint8)
+        got = fh.readinto(payload)
+        if got != len(payload):  # the file shrank after the size check
+            raise _size_error(_HEADER.size + got, expected)
+
+    h, w, plane = header.height, header.width, header.pixels
+    off = 0
 
     def take_planes(count: int, fieldname: str) -> np.ndarray:
         nonlocal off
-        raw = np.frombuffer(data, dtype="<f4", count=count * plane, offset=off)
-        off += 4 * count * plane
-        arr = raw.reshape(count, h, w).astype(np.float32)
+        arr = payload[off : off + 4 * count * plane].view("<f4").reshape(count, h, w)
         if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(raw))[0])
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ContainerError(
-                f"non-finite value in {fieldname} at payload offset {off - 4 * count * plane + 4 * bad}"
+                f"non-finite value in {fieldname} at payload offset {_HEADER.size + off + 4 * bad}"
             )
+        off += 4 * count * plane
         return arr
 
     s1 = None
-    if s1_present:
+    if header.s1_present:
         s1 = BandStack(take_planes(2, "s1"), S1_BAND_NAMES)
-    s2 = BandStack(take_planes(s2_bands, "s2"), _default_s2_names(s2_bands))
+    s2 = BandStack(take_planes(header.s2_bands, "s2"), _default_s2_names(header.s2_bands))
 
-    lr = np.frombuffer(data, dtype=np.uint8, count=plane, offset=off).reshape(h, w)
+    lr = payload[off : off + plane].reshape(h, w)
     off += plane
     hr_raster = None
-    if hr_present:
-        hr = np.frombuffer(data, dtype=np.uint8, count=plane, offset=off).reshape(h, w)
-        hr_raster = LabelRaster(hr.copy(), Scheme.SIMPLIFIED10, "hr_labels")
+    if header.hr_present:
+        hr = payload[off : off + plane].reshape(h, w)
+        hr_raster = LabelRaster(hr, Scheme.SIMPLIFIED10, "hr_labels")
 
     patch = Patch(
         id=path.stem,
         s2=s2,
-        lr_labels=LabelRaster(lr.copy(), scheme, "lr_labels"),
+        lr_labels=LabelRaster(lr, header.scheme, "lr_labels"),
         s1=s1,
         hr_labels=hr_raster,
     )
@@ -250,8 +297,9 @@ def read_patch(path: str | Path) -> Patch:
     return patch
 
 
-def patch_to_bytes(patch: Patch) -> bytes:
-    """Serialize a validated patch to the canonical container bytes."""
+def _container_parts(patch: Patch) -> list:
+    """The header bytes and every array of a validated patch, in file order;
+    their buffers joined are the canonical container bytes."""
     patch.validate()
     h, w = patch.s2.shape
     header = _HEADER.pack(
@@ -264,21 +312,28 @@ def patch_to_bytes(patch: Patch) -> bytes:
         1 if patch.hr_labels is not None else 0,
         patch.lr_labels.scheme.value,
     )
-    parts = [header]
-    if patch.s1 is not None:
-        parts.append(patch.s1.values.astype("<f4").tobytes())
-    parts.append(patch.s2.values.astype("<f4").tobytes())
-    parts.append(patch.lr_labels.values.tobytes())
-    if patch.hr_labels is not None:
-        parts.append(patch.hr_labels.values.tobytes())
-    return b"".join(parts)
+    stacks = [s for s in (patch.s1, patch.s2) if s is not None]
+    rasters = [r for r in (patch.lr_labels, patch.hr_labels) if r is not None]
+    # no copy on a little-endian host: these are the patch's own arrays
+    return [
+        header,
+        *(np.ascontiguousarray(s.values, dtype="<f4") for s in stacks),
+        *(np.ascontiguousarray(r.values) for r in rasters),
+    ]
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write bytes via a uniquely named same-directory temp file and rename.
-    The temp file is created with mode 0o666, so the umask sets the file's
-    permissions, as with ``open()``."""
+def patch_to_bytes(patch: Patch) -> bytes:
+    """Serialize a validated patch to the canonical container bytes."""
+    return b"".join(_container_parts(patch))
+
+
+def atomic_write(path: str | Path, data: bytes | list) -> None:
+    """Write bytes, or a list of buffers one after another, via a uniquely
+    named same-directory temp file and rename. The temp file is created
+    with mode 0o666, so the umask sets the file's permissions, as with
+    ``open()``."""
     path = Path(path)
+    parts = data if isinstance(data, list) else [data]
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}")
         try:
@@ -288,7 +343,8 @@ def atomic_write(path: str | Path, data: bytes) -> None:
             continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,8 +353,9 @@ def atomic_write(path: str | Path, data: bytes) -> None:
 
 
 def write_patch(patch: Patch, path: str | Path) -> None:
-    """Write the container; read_patch inverts it bit-exactly."""
-    atomic_write(path, patch_to_bytes(patch))
+    """Write the container; read_patch inverts it bit-exactly. The header
+    and each array go to the file in turn, with no whole-container copy."""
+    atomic_write(path, _container_parts(patch))
 
 
 @dataclass(frozen=True)
@@ -368,6 +425,14 @@ def iter_patches(manifest: SplitManifest, data_dir: str | Path) -> Iterable[Patc
     data_dir = Path(data_dir)
     for pid in manifest.patch_ids:
         yield read_patch(data_dir / f"{pid}.wlcb")
+
+
+def iter_headers(manifest: SplitManifest, data_dir: str | Path) -> Iterable[ContainerHeader]:
+    """Yield the header of every manifest id's container, in manifest order,
+    reading nothing past the headers."""
+    data_dir = Path(data_dir)
+    for pid in manifest.patch_ids:
+        yield read_header(data_dir / f"{pid}.wlcb")
 
 
 def _require_simplified(raster: LabelRaster, patch_id: str) -> np.ndarray:

@@ -25,7 +25,7 @@ from .preprocess import FeatureMatrix, are_class_ids, feature_rows, training_row
 # Rows per logit product in the epoch loss pass. At multiples of 64 the rows
 # of a chunked product matched one full-data product bit for bit on OpenBLAS
 # (tests/logreg_reference.py is the check), so the loss curve keeps its bits.
-_LOSS_CHUNK = 16384
+_LOSS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,8 @@ def logreg_fit(
     """
     X, train_idx = training_rows(features, labels)
     # 0-based class slots; only selected rows, labeled 1..10, are ever read
-    y0 = np.asarray(labels).ravel().astype(np.int64) - 1
+    y0 = np.asarray(labels).ravel().astype(np.int8)
+    y0 -= 1
     train_y0 = y0[train_idx]
     d = X.shape[1]
     W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)

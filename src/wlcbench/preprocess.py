@@ -13,11 +13,21 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import BandStack, N_SIMPLIFIED_CLASSES, Patch, S2_ALL_BANDS, S2_SURFACE_BANDS
+from .dataset import (
+    BandStack,
+    N_SIMPLIFIED_CLASSES,
+    Patch,
+    S1_BAND_NAMES,
+    S2_ALL_BANDS,
+    S2_SURFACE_BANDS,
+)
 
 S1_CLIP = (-25.0, 0.0)
 S2_CLIP = (0.0, 1.0e4)
 _DROPPED_ATMOSPHERIC = ("B1", "B9", "B10")
+_N_SURFACE = len(S2_SURFACE_BANDS)
+# Rows per finiteness check in training_rows; bounds its boolean scratch.
+_FINITE_CHUNK = 65536
 
 
 class FusionMode(Enum):
@@ -33,23 +43,58 @@ class FusionConfig:
     def from_string(cls, mode: str) -> "FusionConfig":
         return cls(FusionMode(mode))
 
+    @property
+    def d(self) -> int:
+        """Feature columns: the surface S2 bands, then VV and VH under fusion."""
+        if self.mode is FusionMode.S1_PLUS_S2:
+            return _N_SURFACE + len(S1_BAND_NAMES)
+        return _N_SURFACE
+
+
+def check_width(d: int, model_d: int) -> None:
+    """Raise unless features of width d fit a model of width model_d."""
+    if d != model_d:
+        raise ValueError(f"feature dimension d={d} != model dimension d={model_d}")
+
+
+def _rescale(x, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
+    """(clip(x, lo, hi) - lo) / (hi - lo), written to out (which may be x)."""
+    np.clip(x, lo, hi, out=out)
+    out -= lo
+    out /= hi - lo
+    return out
+
+
+def _normalize(x, clip: tuple[float, float], name: str):
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} requires finite input")
+    out = _rescale(x, *clip, np.empty_like(x))
+    return out if out.ndim else float(out)
+
 
 def normalize_s1(x):
     """Clip backscatter (dB) to [-25, 0] and rescale to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("normalize_s1 requires finite input")
-    out = (np.clip(x, *S1_CLIP) + 25.0) / 25.0
-    return out if out.ndim else float(out)
+    return _normalize(x, S1_CLIP, "normalize_s1")
 
 
 def normalize_s2(x):
     """Clip digital numbers to [0, 10^4] and rescale to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("normalize_s2 requires finite input")
-    out = np.clip(x, *S2_CLIP) / 1.0e4
-    return out if out.ndim else float(out)
+    return _normalize(x, S2_CLIP, "normalize_s2")
+
+
+def _surface_band_indices(s2: BandStack) -> list[int]:
+    """Positions of the ten surface bands in the stack, in band order."""
+    if s2.band_names == S2_SURFACE_BANDS:
+        return list(range(_N_SURFACE))
+    if set(s2.band_names) == set(S2_ALL_BANDS) and s2.n_bands == 13:
+        return [i for i, name in enumerate(s2.band_names) if name not in _DROPPED_ATMOSPHERIC]
+    missing = sorted(set(S2_ALL_BANDS) - set(s2.band_names))
+    unknown = sorted(set(s2.band_names) - set(S2_ALL_BANDS))
+    raise ValueError(
+        f"cannot select surface bands: missing {missing or 'none'}, "
+        f"unknown {unknown or 'none'}"
+    )
 
 
 def select_surface_bands(s2: BandStack) -> BandStack:
@@ -60,15 +105,8 @@ def select_surface_bands(s2: BandStack) -> BandStack:
     """
     if s2.band_names == S2_SURFACE_BANDS:
         return s2
-    if set(s2.band_names) == set(S2_ALL_BANDS) and s2.n_bands == 13:
-        keep = [i for i, name in enumerate(s2.band_names) if name not in _DROPPED_ATMOSPHERIC]
-        return BandStack(s2.values[keep], tuple(s2.band_names[i] for i in keep))
-    missing = sorted(set(S2_ALL_BANDS) - set(s2.band_names))
-    unknown = sorted(set(s2.band_names) - set(S2_ALL_BANDS))
-    raise ValueError(
-        f"cannot select surface bands: missing {missing or 'none'}, "
-        f"unknown {unknown or 'none'}"
-    )
+    keep = _surface_band_indices(s2)
+    return BandStack(s2.values[keep], tuple(s2.band_names[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -96,18 +134,6 @@ class FeatureMatrix:
             raise ValueError(f"mask length {len(extra_mask)} != feature rows {self.n_rows}")
         return FeatureMatrix(self.values, self.valid_mask & extra_mask)
 
-    @classmethod
-    def concat(cls, matrices: "list[FeatureMatrix]") -> "FeatureMatrix":
-        if not matrices:
-            raise ValueError("cannot concatenate zero feature matrices")
-        d = matrices[0].d
-        if any(m.d != d for m in matrices):
-            raise ValueError("feature dimension mismatch in concat")
-        return cls(
-            np.concatenate([m.values for m in matrices]),
-            np.concatenate([m.valid_mask for m in matrices]),
-        )
-
 
 def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
     """Every row of features as an N×d float64 array; raises unless the width
@@ -115,8 +141,7 @@ def feature_rows(features: FeatureMatrix | np.ndarray, d: int) -> np.ndarray:
     X = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected N×d features, got shape {X.shape}")
-    if X.shape[1] != d:
-        raise ValueError(f"feature dimension d={X.shape[1]} != model dimension d={d}")
+    check_width(X.shape[1], d)
     return X
 
 
@@ -133,7 +158,8 @@ def training_rows(
     features: FeatureMatrix | np.ndarray, labels: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows a model may fit on: (X, rows), X every row of features as an
-    N×d float64 array, rows the ascending indices of the selected rows.
+    N×d float64 array, rows the ascending indices of the selected rows
+    (int32 when N allows).
 
     A row is selected when it is valid (a FeatureMatrix's valid_mask; mask
     rows out of a fit with FeatureMatrix.with_mask) and, when labels are
@@ -155,39 +181,55 @@ def training_rows(
                 f"labels must be 0 (no-data) or simplified class ids 1..{N_SIMPLIFIED_CLASSES}"
             )
         keep &= labels != 0
-    rows = np.flatnonzero(keep)
+    index = np.int32 if len(X) <= np.iinfo(np.int32).max else np.intp
+    rows = np.arange(len(X), dtype=index)[keep]
     if not len(rows):
         raise ValueError("no valid, masked-in, labeled rows to train on")
-    if not np.isfinite(X).all(axis=1)[rows].all():
-        raise ValueError("training features must be finite (no NaN or inf)")
+    for start in range(0, len(X), _FINITE_CHUNK):
+        stop = start + _FINITE_CHUNK
+        if not np.isfinite(X[start:stop]).all(axis=1)[keep[start:stop]].all():
+            raise ValueError("training features must be finite (no NaN or inf)")
     return X, rows
 
 
-def assemble_features(patch: Patch, config: FusionConfig) -> FeatureMatrix:
+def assemble_features(
+    patch: Patch, config: FusionConfig, out: np.ndarray | None = None
+) -> FeatureMatrix:
     """Build the N×d per-pixel feature matrix for one patch, row-major.
 
     Columns are the ten surface S2 bands first, then normalized VV, VH under
     fusion. Rows whose sources were non-finite before clipping, or whose LR
-    label is 0, are masked out.
+    label is 0, are masked out. The features are written to ``out`` when
+    given (an N×d float64 array, such as rows of a larger matrix), else to
+    a new array: the bands are copied in, non-finite values zeroed and
+    every column clipped and rescaled in place.
     """
-    surface = select_surface_bands(patch.s2)
-    h, w = surface.shape
-    n = h * w
+    bands = _surface_band_indices(patch.s2)
+    if config.mode is FusionMode.S1_PLUS_S2 and patch.s1 is None:
+        raise ValueError(f"patch {patch.id!r} has no S1 stack but fusion requires it")
+    n = patch.height * patch.width
+    shape = (n, config.d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"feature output must be {shape} float64, got {out.shape} {out.dtype}")
 
-    planes = [surface.values.reshape(10, n).astype(np.float64)]
+    s2 = patch.s2.values.reshape(-1, n)
+    planes = [s2[band] for band in bands]  # S2 columns, then VV, VH
     if config.mode is FusionMode.S1_PLUS_S2:
-        if patch.s1 is None:
-            raise ValueError(f"patch {patch.id!r} has no S1 stack but fusion requires it")
-        planes.append(patch.s1.values.reshape(2, n).astype(np.float64))
+        planes += list(patch.s1.values.reshape(-1, n))
+    for col, plane in enumerate(planes):
+        out[:, col] = plane
 
-    raw = np.concatenate(planes, axis=0).T  # N×d, S2 columns then VV, VH
-    finite = np.isfinite(raw).all(axis=1)
-    raw = np.where(np.isfinite(raw), raw, 0.0)
+    finite = np.isfinite(out)
+    valid = finite.all(axis=1)
+    if not valid.all():
+        np.copyto(out, 0.0, where=~finite)
+    del finite
+    _rescale(out[:, :_N_SURFACE], *S2_CLIP, out=out[:, :_N_SURFACE])
+    # column by column: an N×2 block would be walked two values at a time
+    for col in range(_N_SURFACE, config.d):
+        _rescale(out[:, col], *S1_CLIP, out=out[:, col])
 
-    features = np.empty_like(raw)
-    features[:, :10] = normalize_s2(raw[:, :10])
-    if raw.shape[1] == 12:
-        features[:, 10:] = normalize_s1(raw[:, 10:])
-
-    valid = finite & (patch.lr_labels.values.reshape(n) != 0)
-    return FeatureMatrix(values=features, valid_mask=valid)
+    valid &= patch.lr_labels.values.reshape(n) != 0
+    return FeatureMatrix(values=out, valid_mask=valid)

@@ -291,7 +291,8 @@ def kmeans_fit(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X, rows = training_rows(features)
-    X = X[rows]
+    # when every row is selected, fit on the matrix itself, not a copy
+    X = np.ascontiguousarray(X) if len(rows) == len(X) else X[rows]
     if np.unique(X, axis=0).shape[0] < k:
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
@@ -370,6 +371,10 @@ class ForestModel:
     max_depth: int
     n_features: int
     seed: int
+
+    @property
+    def d(self) -> int:
+        return self.n_features
 
     @cached_property
     def nodes(self) -> NodeTable:
@@ -699,7 +704,7 @@ def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -
     Each chunk of rows steps through every tree at once: one gather finds
     each (row, tree) pair's feature value and one picks its next node.
     """
-    X = feature_rows(features, model.n_features)
+    X = feature_rows(features, model.d)
     table = model.nodes
     n, d = X.shape
     acc = np.zeros((n, N_SIMPLIFIED_CLASSES), dtype=np.float64)
@@ -714,7 +719,8 @@ def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -
         out = acc[start : start + m]
         for leaves in node.T:
             out += table.probs.take(leaves, axis=0)
-    return acc / model.n_trees
+    acc /= model.n_trees  # in place: no second n×10 array per call
+    return acc
 
 
 def rf_predict(model: ForestModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:

@@ -462,6 +462,34 @@ def test_fusion_mismatch_fails(split_dir, tmp_path, capsys, model):
     assert single_json_error(err)["error"] == (
         "feature dimension d=12 != model dimension d=10"
     )
+    # the width is checked before the output directory is made
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("model", ["kmeans", "rf", "logreg"])
+def test_a_fused_model_with_the_default_fusion_fails_before_any_read(
+    split_dir, tmp_path, capsys, monkeypatch, model
+):
+    flags = {"kmeans": ["--k", "3"], "rf": ["--trees", "1"], "logreg": ["--epochs", "1"]}
+    path = tmp_path / "m.wlcm"
+    code, _, err = run(
+        capsys, "train", *split_args(split_dir), "--model", model, *flags[model],
+        "--fusion", "s1s2", "--out", str(path),
+    )
+    assert code == 0, err
+    reads = []
+    monkeypatch.setattr(dataset, "read_patch", lambda *a: reads.append(a))
+    code, out, err = run(
+        capsys, "predict", *split_args(split_dir), "--model-file", str(path),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 1
+    assert out == ""
+    assert single_json_error(err)["error"] == (
+        "feature dimension d=10 != model dimension d=12"
+    )
+    assert reads == []
+    assert not (tmp_path / "pred").exists()
 
 
 def test_predict_builds_the_forest_node_table_once(

@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from wlcbench.dataset import (
     iter_patches,
     load_manifest,
     patch_to_bytes,
+    read_header,
     read_patch,
     save_manifest,
     subsample_manifest,
@@ -147,6 +149,105 @@ def test_malformed_containers_rejected(tmp_path, mutate, message):
     path.write_bytes(blob)
     with pytest.raises(ContainerError, match=message):
         read_patch(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda b: b[:0],
+        lambda b: b[:17],
+        lambda b: b"XXXX" + b[4:],
+        lambda b: b[:4] + struct.pack("<H", 9) + b[6:],
+        lambda b: b[:6] + struct.pack("<I", 0) + b[10:],
+        lambda b: b[:14] + b"\x02" + b[15:],
+        lambda b: b[:15] + b"\x00" + b[16:],
+        lambda b: b[:16] + b"\x05" + b[17:],
+        lambda b: b[:17] + b"\x07" + b[18:],
+    ],
+    ids=["empty", "short", "magic", "version", "height", "s1_flag", "s2_bands", "hr_flag", "scheme"],
+)
+def test_header_probe_and_read_give_the_same_error(tmp_path, mutate):
+    path = tmp_path / "m.wlcb"
+    path.write_bytes(mutate(_valid_blob()))
+    with pytest.raises(ContainerError) as probed:
+        read_header(path)
+    with pytest.raises(ContainerError) as read:
+        read_patch(path)
+    assert str(probed.value) == str(read.value)
+
+
+def test_header_probe_reads_the_layout_and_size(tmp_path):
+    lr = np.ones((2, 3), dtype=np.uint8)
+    patch = make_patch(lr, hr=lr, s1=np.zeros((2, 2, 3)), s2=np.zeros((13, 2, 3)))
+    path = tmp_path / "p.wlcb"
+    write_patch(patch, path)
+    header = read_header(path)
+    assert (header.height, header.width, header.pixels) == (2, 3, 6)
+    assert (header.s1_present, header.s2_bands, header.hr_present) == (True, 13, True)
+    assert header.scheme is Scheme.SIMPLIFIED10
+    assert header.size == os.path.getsize(path)
+    # the probe reads the header alone: a truncated body is read_patch's to find
+    path.write_bytes(path.read_bytes()[:-1])
+    assert read_header(path) == header
+    with pytest.raises(ContainerError, match="container size"):
+        read_patch(path)
+
+
+def test_a_container_that_shrinks_after_its_size_check_is_refused(tmp_path, monkeypatch):
+    blob = _valid_blob()
+    path = tmp_path / "m.wlcb"
+    path.write_bytes(blob[:-3])
+    fstat = os.fstat
+
+    def stale(fd):  # the size the file had before it shrank
+        st = tuple(fstat(fd))
+        return os.stat_result(st[:6] + (len(blob),) + st[7:])
+
+    monkeypatch.setattr(os, "fstat", stale)
+    with pytest.raises(ContainerError, match=f"container size {len(blob) - 3} != expected {len(blob)}"):
+        read_patch(path)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+@pytest.fixture
+def big_patch(rng):
+    h = w = 128
+    lr = rng.integers(1, 11, (h, w), dtype=np.uint8)
+    return make_patch(
+        lr,
+        hr=lr,
+        s2=rng.normal(0, 5000, (10, h, w)),
+        s1=rng.normal(-12, 6, (2, h, w)),
+    )
+
+
+def test_read_patch_holds_the_container_once(tmp_path, big_patch):
+    # one payload buffer the planes are views of, plus the band stacks'
+    # finiteness masks (a quarter of a float plane each); the parent held
+    # the file's bytes and a float32 copy of every plane
+    path = tmp_path / "p.wlcb"
+    write_patch(big_patch, path)
+    peak = _traced_peak(lambda: read_patch(path))
+    assert peak <= 1.25 * os.path.getsize(path)
+
+
+def test_write_patch_copies_no_container(tmp_path, big_patch):
+    # the header and each array go to the file as they are; only the
+    # finiteness masks of the band stacks are allocated
+    path = tmp_path / "p.wlcb"
+    peak = _traced_peak(lambda: write_patch(big_patch, path))
+    assert peak <= 0.5 * os.path.getsize(path)
+    assert path.read_bytes() == patch_to_bytes(big_patch)
 
 
 def test_illegal_class_id_reported_with_location(tmp_path):

@@ -346,7 +346,11 @@ def test_fit_scratch_memory_stays_below_its_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < X.nbytes
+    # The fit holds int32 row indices and their shuffled copy, int8 label
+    # slots, one float64 loss term per row and the logits of a 4096-row loss
+    # chunk: about a third of the input. The parent's int64 vectors and
+    # 16384-row chunks took about four fifths.
+    assert peak - base < 0.4 * X.nbytes
     # several full loss chunks and a tail, summed as in one full-data pass
     assert model.loss_curve == reference_fit(X, y, config).loss_curve
 

@@ -1,10 +1,15 @@
 """Normalization endpoints, band selection, and feature assembly."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_patch
+from preprocess_reference import reference_assemble_features
+from wlcbench import preprocess
 from wlcbench.dataset import BandStack, LabelRaster, Patch, Scheme, S2_ALL_BANDS, S2_SURFACE_BANDS
 from wlcbench.preprocess import (
     FeatureMatrix,
@@ -115,6 +120,8 @@ def test_fusion_dimensions():
     assert FusionConfig.from_string("s2").mode is FusionMode.S2_ONLY
     assert FusionConfig.from_string("s1s2").mode is FusionMode.S1_PLUS_S2
     assert FusionConfig().mode is FusionMode.S2_ONLY
+    assert FusionConfig.from_string("s2").d == 10
+    assert FusionConfig.from_string("s1s2").d == 12
 
 
 def test_fusion_rejects_unknown_mode():
@@ -194,6 +201,92 @@ def test_thirteen_band_input_is_reduced():
     assert fm.values[0, 0] == 0.5
 
 
+# NaN, both infinities, both zeros, the clip ends and values beyond them
+_EDGE_VALUES = (
+    np.nan, np.inf, -np.inf, 0.0, -0.0, -25.0, -25.5, -1e-3, 1e-3, 12.5,
+    1.0e4, 1.0e4 + 1.0, -3.0e38, 3.0e38,
+)
+
+
+@st.composite
+def assembly_cases(draw):
+    h = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 4))
+    n_s2 = draw(st.sampled_from([10, 13]))
+    mode = draw(st.sampled_from(["s2", "s1s2"]))
+    value = st.one_of(
+        st.sampled_from(_EDGE_VALUES),
+        st.floats(-1.0e5, 1.0e5, width=32),
+    )
+
+    def planes(count):
+        flat = draw(st.lists(value, min_size=count * h * w, max_size=count * h * w))
+        return np.array(flat, dtype=np.float32).reshape(count, h, w)
+
+    s1 = planes(2) if mode == "s1s2" or draw(st.booleans()) else None
+    lr = np.array(draw(st.lists(st.integers(0, 10), min_size=h * w, max_size=h * w)))
+    patch = Patch(
+        id="p",
+        s2=BandStack(planes(n_s2), S2_ALL_BANDS if n_s2 == 13 else S2_SURFACE_BANDS),
+        lr_labels=LabelRaster(lr.reshape(h, w).astype(np.uint8), Scheme.SIMPLIFIED10),
+        s1=None if s1 is None else BandStack(s1, ("VV", "VH")),
+    )
+    return patch, FusionConfig.from_string(mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assembly_cases())
+def test_assembly_matches_the_reference_bitwise(case):
+    patch, config = case
+    got = assemble_features(patch, config)
+    want = reference_assemble_features(patch, config)
+    assert got.values.dtype == np.float64
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    np.testing.assert_array_equal(got.valid_mask, want.valid_mask)
+    # rows of a larger matrix get the same bytes
+    n = got.n_rows
+    big = np.full((n + 2, config.d), 7.0)
+    into = assemble_features(patch, config, out=big[1 : n + 1])
+    assert into.values.base is big
+    assert big[1 : n + 1].tobytes() == want.values.tobytes()
+    assert (big[0] == 7.0).all() and (big[-1] == 7.0).all()
+    np.testing.assert_array_equal(into.valid_mask, want.valid_mask)
+
+
+def test_assembly_refuses_an_output_of_another_shape_or_type():
+    patch = make_patch(np.ones((2, 2), dtype=np.uint8))
+    for bad in (np.empty((4, 12)), np.empty((3, 10)), np.empty((4, 10), dtype=np.float32)):
+        with pytest.raises(ValueError, match="feature output must be"):
+            assemble_features(patch, FusionConfig(), out=bad)
+
+
+@pytest.mark.parametrize("n_s2", [10, 13])
+@pytest.mark.parametrize("mode", ["s2", "s1s2"])
+def test_assembly_scratch_memory_stays_within_a_quarter_of_its_output(n_s2, mode):
+    # The output plus an N×d finiteness mask (an eighth of it) and a few
+    # N-long masks; the parent built four such matrices.
+    rng = np.random.default_rng(3)
+    h = w = 128
+    patch = Patch(
+        id="p",
+        s2=BandStack(
+            rng.uniform(-100, 1.2e4, (n_s2, h, w)).astype(np.float32),
+            S2_ALL_BANDS if n_s2 == 13 else S2_SURFACE_BANDS,
+        ),
+        lr_labels=LabelRaster(rng.integers(0, 11, (h, w), dtype=np.uint8), Scheme.SIMPLIFIED10),
+        s1=BandStack(rng.uniform(-30, 5, (2, h, w)).astype(np.float32), ("VV", "VH")),
+    )
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        fm = assemble_features(patch, FusionConfig.from_string(mode))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.25 * fm.values.nbytes
+
+
 def test_with_mask_intersects():
     fm = assemble_features(
         make_patch(np.ones((2, 2), dtype=np.uint8)), FusionConfig.from_string("s2")
@@ -202,30 +295,6 @@ def test_with_mask_intersects():
     np.testing.assert_array_equal(out.valid_mask, [True, False, True, False])
     with pytest.raises(ValueError):
         fm.with_mask([True])
-
-
-def test_concat_tracks_origins():
-    a = assemble_features(
-        make_patch([[1, 0]], patch_id="a"), FusionConfig.from_string("s2")
-    )
-    b = assemble_features(
-        make_patch([[3]], s2=np.full((10, 1, 1), 5000.0, dtype=np.float32), patch_id="b"),
-        FusionConfig.from_string("s2"),
-    )
-    cat = FeatureMatrix.concat([a, b])
-    assert cat.n_rows == 3
-    np.testing.assert_array_equal(cat.values, np.vstack([a.values, b.values]))
-    np.testing.assert_array_equal(cat.valid_mask, [True, False, True])
-
-
-def test_concat_rejects_mixed_dimensions():
-    s1 = np.zeros((2, 1, 1), dtype=np.float32)
-    a = assemble_features(make_patch([[1]]), FusionConfig.from_string("s2"))
-    b = assemble_features(
-        make_patch([[1]], s1=s1), FusionConfig.from_string("s1s2")
-    )
-    with pytest.raises(ValueError, match="dimension"):
-        FeatureMatrix.concat([a, b])
 
 
 def test_feature_rows_checks_the_model_width():
@@ -254,6 +323,17 @@ def test_training_rows_filters():
     with pytest.raises(ValueError, match="mask length 1 != feature rows 4"):
         fm.with_mask(mask[:1])
     np.testing.assert_array_equal(fm.valid_mask, [True, False, True, True])  # left as it was
+
+
+def test_training_rows_checks_finiteness_in_every_chunk():
+    X = np.zeros((10, 2))
+    X[9, 1] = np.nan
+    with mock.patch.object(preprocess, "_FINITE_CHUNK", 4):
+        with pytest.raises(ValueError, match="must be finite"):
+            training_rows(X)
+        _, rows = training_rows(FeatureMatrix(X, np.arange(10) != 9))
+    np.testing.assert_array_equal(rows, np.arange(9))
+    assert rows.dtype == np.int32
 
 
 def _fit(kind, features, labels):

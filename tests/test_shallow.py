@@ -736,6 +736,23 @@ def test_rf_fit_scratch_memory_stays_within_three_inputs():
     assert peak - base < 3 * X.nbytes
 
 
+def test_kmeans_fit_scratch_memory_stays_within_three_inputs():
+    # Every row is selected, so the fit works on the input itself: 2X and
+    # the row norms of the distance formula (one input), np.unique's sorted
+    # copy for the distinct-row check, and the seeding's distance
+    # temporaries. The parent also held a copy of the selected rows.
+    rng = np.random.default_rng(7)
+    X = rng.random((50_000, 12))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        kmeans_fit(X, 3, n_init=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * X.nbytes
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=tie_heavy_training_sets(),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlcbench import metrics, modelio, shallow
+from wlcbench import dataset, metrics, modelio, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -267,6 +267,30 @@ def test_predict_output_equals_the_reference(mixed_split, rf_model, tmp_path):
     )
 
 
+def test_predict_output_equals_the_reference_across_patch_sizes(rf_model, tmp_path):
+    # predict reuses one feature buffer: it grows for a larger patch and a
+    # smaller one is written into its first rows
+    rng = np.random.default_rng(11)
+    d = tmp_path / "sizes"
+    d.mkdir()
+    patches = []
+    for i, side in enumerate([8, 16, 4, 16, 12]):
+        lr = rng.integers(0, 11, (side, side), dtype=np.uint8)
+        s2 = rng.uniform(-500, 1.2e4, (10, side, side))
+        patches.append(make_patch(lr, s2=s2, patch_id=f"p{i}"))
+        write_patch(patches[-1], d / f"p{i}.wlcb")
+    save_manifest(SplitManifest("sizes", SplitRole.TEST, [p.id for p in patches]),
+                  d / "manifest.json")
+    code, _, err = cli("predict", *split_args(d), "--model-file", rf_model, "--out", tmp_path / "p")
+    assert code == 0, err
+    model = load_model(rf_model)
+    for p in patches:
+        pred = shallow.rf_predict(model, assemble_features(p, FusionConfig()))
+        raster = LabelRaster(pred.reshape(p.height, p.width), Scheme.SIMPLIFIED10)
+        expected = patch_to_bytes(dataclasses.replace(p, lr_labels=raster))
+        assert (tmp_path / "p" / f"{p.id}.wlcb").read_bytes() == expected
+
+
 # --- memory does not grow with the split -------------------------------------
 
 @pytest.fixture(scope="module")
@@ -315,6 +339,48 @@ def test_peak_memory_does_not_grow_with_the_split(sized_splits, tmp_path, comman
     assert large - small < 2 * container, (
         f"{command}: peak {small / container:.1f} -> {large / container:.1f} containers"
     )
+
+
+def test_train_peak_grows_by_about_the_added_feature_rows(sized_splits, tmp_path):
+    # train fills one feature matrix sized from the container headers; the
+    # rest that grows with the split is the masks, labels and the fit's
+    # int32 rows, int8 label slots and float64 loss terms. Filling per-patch
+    # matrices and concatenating them grew by about 2.5 times the rows.
+    d, _ = sized_splits
+
+    def argv(manifest, run):
+        return ["train", *split_args(d, manifest), "--model", "logreg", "--epochs", 1,
+                "--out", tmp_path / f"m-{run}.wlcm"]
+
+    cli(*argv("manifest-8.json", "warm"))
+    small = traced_peak(argv("manifest-8.json", "8"))
+    large = traced_peak(argv("manifest.json", "32"))
+    added = 24 * 32 * 32 * FusionConfig().d * 8
+    assert large - small <= 1.25 * added, f"peak grew by {(large - small) / added:.2f}x"
+
+
+def test_a_container_resized_after_the_probe_fails_train(mixed_split, tmp_path, monkeypatch):
+    d = Path(shutil.copytree(mixed_split, tmp_path / "split"))
+    victim = d / f"{load_manifest(d / 'manifest.json').patch_ids[2]}.wlcb"
+    probe = dataset.read_header
+
+    def probe_then_resize(path):
+        header = probe(path)
+        if Path(path) == victim:
+            write_patch(make_patch(np.ones((4, 4), dtype=np.uint8), patch_id="x"), victim)
+        return header
+
+    monkeypatch.setattr(dataset, "read_header", probe_then_resize)
+    code, out, err = cli("train", *split_args(d), "--model", "logreg", "--epochs", 1,
+                         "--out", tmp_path / "m.wlcm")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        f"patch {victim.stem!r} has 16 pixels, but its header read 1024 when the split was sized"
+    )
+    assert not (tmp_path / "m.wlcm").exists()
 
 
 # --- a bad container fails the command with one JSON line --------------------
