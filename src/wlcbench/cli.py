@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -39,7 +40,7 @@ from .render import render_labels
 
 if TYPE_CHECKING:
     from .maskedlr import LogRegConfig
-    from .preprocess import FeatureMatrix, FusionConfig
+    from .preprocess import BandRows, FeatureMatrix, FusionConfig
 
 # The model, feature and scene modules are imported inside the commands that
 # run them, so a command compiles and loads only what it uses.
@@ -117,19 +118,21 @@ def _load_split(args) -> tuple[SplitManifest, Iterator[Patch]]:
     return manifest, patches
 
 
-def _features_and_labels(args, fusion: FusionConfig):
-    """Feature rows and LR labels of the whole split, in one matrix sized
-    from the container headers. Each patch's rows, valid mask and labels are
-    written to their slice as the stream reaches it, so the peak holds the
-    matrix plus one patch."""
-    from .preprocess import FeatureMatrix
+def _band_rows_and_labels(args, fusion: FusionConfig) -> tuple[BandRows, np.ndarray]:
+    """The band rows and LR labels of the split's training pixels: valid,
+    labeled and, under --mask-savanna, not Savanna, in split order. One
+    float32 matrix is sized from the container headers, and each patch's
+    rows are written after the previous patch's as the stream reaches it,
+    so the peak holds the rows a fit reads plus one patch; the rows of the
+    pixels left out are never written, so their pages are never touched."""
+    from .preprocess import BandRows, band_rows
 
     manifest, patches = _load_split(args)
     pixels = [header.pixels for header in iter_headers(manifest, args.data_dir)]
     n = sum(pixels)
-    values = np.empty((n, fusion.d))
-    valid = np.empty(n, dtype=bool)
+    bands = np.empty((n, fusion.d), dtype=np.float32)
     labels = np.empty(n, dtype=np.uint8)
+    exclude = frozenset({SAVANNA}) if args.mask_savanna else frozenset()
     stop = 0
     for patch, size in zip(patches, pixels):
         if patch.height * patch.width != size:
@@ -137,10 +140,10 @@ def _features_and_labels(args, fusion: FusionConfig):
                 f"patch {patch.id!r} has {patch.height * patch.width} pixels, "
                 f"but its header read {size} when the split was sized"
             )
-        start, stop = stop, stop + size
-        valid[start:stop] = assemble_features(patch, fusion, out=values[start:stop]).valid_mask
-        labels[start:stop] = patch.lr_labels.values.ravel()
-    return FeatureMatrix(values, valid), labels
+        keep = band_rows(patch, fusion, bands[stop:], exclude)
+        start, stop = stop, stop + int(np.count_nonzero(keep))
+        labels[start:stop] = patch.lr_labels.values.ravel()[keep]
+    return BandRows(bands[:stop]), labels[:stop]
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +237,16 @@ def cmd_train(args) -> int:
 
     config = _check_train_flags(args)
     fusion = FusionConfig.from_string(args.fusion)
-    feats, lab = _features_and_labels(args, fusion)
-    if args.mask_savanna:
-        feats = feats.with_mask(lab != SAVANNA)
+    feats, lab = _band_rows_and_labels(args, fusion)
 
     summary: dict = {"model": args.model, "fusion": args.fusion, "out": args.out}
     if args.model == "kmeans":
-        k = args.k if args.k is not None else shallow.default_k(lab, feats.valid_mask)
+        k = args.k if args.k is not None else shallow.default_k(lab)
         model = shallow.kmeans_fit(feats, k, seed=args.seed)
         # align on the float32 centroids the model file stores and predict uses
         model.centroids = model.centroids.astype(np.float32).astype(np.float64)
         clusters = shallow.kmeans_cluster_ids(model, feats)
-        model.cluster_to_class = shallow.align_clusters(clusters, lab, feats.valid_mask)
+        model.cluster_to_class = shallow.align_clusters(clusters, lab)
         curve = "iteration,inertia\n" + "".join(
             f"{i},{v!r}\n" for i, v in enumerate(model.inertia_history)
         )
@@ -268,7 +269,7 @@ def cmd_train(args) -> int:
     modelio.save_model(model, args.out)
     curve_path = f"{args.out}.curve.csv"
     atomic_write(curve_path, curve.encode("utf-8"))
-    summary.update(curve=curve_path, training_rows=int(feats.valid_mask.sum()))
+    summary.update(curve=curve_path, training_rows=feats.n_rows)
     _emit(summary)
     return 0
 
@@ -478,5 +479,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Run ``main`` as a process: flush stdout and stderr, then end with its
+    exit status (2 for a usage error) without interpreter teardown, which
+    costs tens of milliseconds with numpy loaded. Every file a command
+    writes is closed before it returns."""
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+        if status is not None and not isinstance(status, int):
+            print(status, file=sys.stderr)
+            status = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status or 0)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

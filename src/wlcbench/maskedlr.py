@@ -20,7 +20,14 @@ import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
 from .labels import SAVANNA
-from .preprocess import FeatureMatrix, are_class_ids, feature_rows, training_rows
+from .preprocess import (
+    Features,
+    TrainingRows,
+    are_class_ids,
+    check_width,
+    feature_rows,
+    training_rows,
+)
 
 # Rows per logit product in the epoch loss pass. At multiples of 64 the rows
 # of a chunked product matched one full-data product bit for bit on OpenBLAS
@@ -64,9 +71,13 @@ class LogRegModel:
         return self.weights.shape[0]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _log_softmax(logits: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log softmax, computed in place of logits; ``spare`` (same
+    shape) takes the exponentials when given."""
+    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+    spare = np.exp(logits, out=spare)
+    logits -= np.log(spare.sum(axis=1, keepdims=True))
+    return logits
 
 
 def _ce_terms(logp: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -76,11 +87,32 @@ def _ce_terms(logp: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 def _ce_grad(logp: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Logit gradient of the mean cross-entropy over these M rows,
-    (softmax - onehot)/M, computed in place of exp(logp)."""
-    delta = np.exp(logp)
+    (softmax - onehot)/M, computed in place of logp."""
+    delta = np.exp(logp, out=logp)
     delta[np.arange(len(y0)), y0] -= 1.0
     delta /= len(y0)
     return delta
+
+
+class _Blocks:
+    """float64 blocks reused by every mini-batch and loss chunk of a fit:
+    the rows read, their logits and the logits' exponentials. The same
+    operations run in the same order as on new arrays, so the bits are
+    the same, and the fit's time does not depend on what the heap holds."""
+
+    def __init__(self, m: int, d: int):
+        self.x = np.empty((m, d))
+        self.logits = np.empty((m, N_SIMPLIFIED_CLASSES))
+        self.spare = np.empty((m, N_SIMPLIFIED_CLASSES))
+
+    def log_probs(
+        self, rows: TrainingRows, index: slice | np.ndarray, m: int, W: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The m rows at ``index`` and their log-probabilities under (W, b)."""
+        X = rows.read(index, self.x[:m])
+        logits = np.matmul(X, W, out=self.logits[:m])
+        logits += b
+        return X, _log_softmax(logits, self.spare[:m])
 
 
 def masked_ce_loss(
@@ -117,13 +149,16 @@ def masked_ce_loss(
 
 
 def _mean_ce(
-    X: np.ndarray, rows: np.ndarray, y0: np.ndarray, W: np.ndarray, b: np.ndarray
+    rows: TrainingRows, y0: np.ndarray, W: np.ndarray, b: np.ndarray, blocks: _Blocks | None = None
 ) -> float:
-    """Mean cross-entropy of the model (W, b) over X[rows], whose 0-based
-    label slots are y0, with no gradient. The logits are formed _LOSS_CHUNK
-    rows at a time and each row's term is kept in one vector, which is then
-    summed once: the same values and the same sum as one full-data pass."""
+    """Mean cross-entropy of the model (W, b) over the training rows, whose
+    0-based label slots are y0, with no gradient. The logits are formed
+    _LOSS_CHUNK rows at a time and each row's term is kept in one vector,
+    which is then summed once: the same values and the same sum as one
+    full-data pass."""
     n = len(rows)
+    if blocks is None:
+        blocks = _Blocks(min(n, _LOSS_CHUNK + 1), rows.d)
     terms = np.empty(n)
     start = 0
     while start < n:
@@ -132,17 +167,17 @@ def _mean_ce(
             # a one-row product takes another BLAS path that can round
             # differently, so a one-row tail joins the chunk before it
             stop = n
-        r = rows[start:stop]
-        terms[start:stop] = _ce_terms(_log_softmax(X[r] @ W + b), y0[start:stop])
+        _, logp = blocks.log_probs(rows, slice(start, stop), stop - start, W, b)
+        terms[start:stop] = _ce_terms(logp, y0[start:stop])
         start = stop
     return float(-terms.sum() / n)
 
 
 def logreg_fit(
-    features: FeatureMatrix | np.ndarray,
+    features: Features,
     labels: np.ndarray,
     config: LogRegConfig = LogRegConfig(),
-    holdout: tuple[FeatureMatrix | np.ndarray, np.ndarray] | None = None,
+    holdout: tuple[Features, np.ndarray] | None = None,
 ) -> LogRegModel:
     """Mini-batch gradient descent from zero weights (the objective is convex,
     so the start point only affects the path, not the reachable optimum).
@@ -157,12 +192,11 @@ def logreg_fit(
     epoch and the weights snapshot from the best epoch (earliest on ties) is
     returned.
     """
-    X, train_idx = training_rows(features, labels)
-    # 0-based class slots; only selected rows, labeled 1..10, are ever read
-    y0 = np.asarray(labels).ravel().astype(np.int8)
+    rows = training_rows(features, labels)
+    # 0-based class slots of the selected rows, all labeled 1..10
+    y0 = rows.select(np.asarray(labels).ravel()).astype(np.int8)
     y0 -= 1
-    train_y0 = y0[train_idx]
-    d = X.shape[1]
+    n, d = len(rows), rows.d
     W = np.zeros((d, N_SIMPLIFIED_CLASSES), dtype=np.float64)
     b = np.zeros(N_SIMPLIFIED_CLASSES, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -171,24 +205,26 @@ def logreg_fit(
     if holdout is not None:
         ho_features, ho_labels = holdout
         try:
-            ho_X, ho_rows = training_rows(ho_features, ho_labels)
-            ho_X = feature_rows(ho_X, d)[ho_rows]
+            ho_rows = training_rows(ho_features, ho_labels)
+            check_width(ho_rows.d, d)
         except ValueError as exc:
             raise ValueError(f"holdout: {exc}") from None
-        ho = (ho_X, np.asarray(ho_labels).ravel()[ho_rows].astype(np.int64))
+        ho = (ho_rows.all(), ho_rows.select(np.asarray(ho_labels).ravel()).astype(np.int64))
 
+    positions = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+    blocks = _Blocks(max(min(config.batch_size, n), min(_LOSS_CHUNK + 1, n)), d)
     loss_curve: list[float] = []
     holdout_curve: list[float] = []
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for epoch in range(config.epochs):
-        order = rng.permutation(train_idx)
-        for start in range(0, len(order), config.batch_size):
+        order = rng.permutation(positions)
+        for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            Xb = X[batch]
-            grad = _ce_grad(_log_softmax(Xb @ W + b), y0[batch])
+            Xb, logp = blocks.log_probs(rows, batch, len(batch), W, b)
+            grad = _ce_grad(logp, y0[batch])
             W -= config.learning_rate * (Xb.T @ grad)
             b -= config.learning_rate * grad.sum(axis=0)
-        loss = _mean_ce(X, train_idx, train_y0, W, b)
+        loss = _mean_ce(rows, y0, W, b, blocks)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"training diverged at epoch {epoch}: loss={loss!r}; lower the learning rate"
@@ -228,13 +264,13 @@ def _mean_class_accuracy(reference: np.ndarray, prediction: np.ndarray) -> float
     return float(np.mean(accs))
 
 
-def logreg_predict_logits(model: LogRegModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
+def logreg_predict_logits(model: LogRegModel, features: Features) -> np.ndarray:
     return feature_rows(features, model.d) @ model.weights + model.bias
 
 
 def logreg_predict(
     model: LogRegModel,
-    features: FeatureMatrix | np.ndarray,
+    features: Features,
     exclude_classes: frozenset[int] = frozenset({SAVANNA}),
 ) -> np.ndarray:
     """Highest-logit class with lowest-id tie-break, skipping excluded ids

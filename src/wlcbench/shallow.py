@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
-from .preprocess import FeatureMatrix, feature_rows, training_rows
+from .preprocess import Features, TrainingRows, feature_rows, training_rows
 
 # Relative slack for the Lloyd monotonicity assertion; covers float64
 # rounding in the mean updates without hiding real regressions.
@@ -24,6 +24,8 @@ _INERTIA_SLACK = 1e-12
 
 _ASSIGN_CHUNK = 262144  # rows per distance block, bounds peak memory
 _ROUTE_CHUNK = 4096  # rows routed through every tree at once; state stays in cache
+_DISTINCT_PREFIX = 4096  # first rows kmeans_fit searches for k distinct ones
+_NORM_CHUNK = 4096  # rows per block of squared row norms
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +174,21 @@ class KMeansModel:
         return self.centroids.shape[1]
 
 
+def _squared_norms(X: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+    """((X - center) ** 2).sum(axis=1), or (X * X).sum(axis=1) without a
+    center, _NORM_CHUNK rows at a time: each row's sum is the same, and
+    the scratch is one block, not an array the size of X."""
+    out = np.empty(len(X))
+    for start in range(0, len(X), _NORM_CHUNK):
+        block = X[start : start + _NORM_CHUNK]
+        block = block * block if center is None else (block - center) ** 2
+        block.sum(axis=1, out=out[start : start + _NORM_CHUNK])
+    return out
+
+
 def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-row terms of the distance formula: 2X and the squared row norms."""
-    return 2.0 * X, (X * X).sum(axis=1)
+    return 2.0 * X, _squared_norms(X)
 
 
 def _nearest(
@@ -212,7 +226,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]), dtype=np.float64)
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = _squared_norms(X, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -220,7 +234,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = X[idx]
-        np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1), out=d2)
+        np.minimum(d2, _squared_norms(X, centroids[j]), out=d2)
     return centroids
 
 
@@ -264,6 +278,20 @@ def _lloyd(X, centroids, max_iter, terms):
     return centroids, history[-1], tuple(history)
 
 
+def _has_distinct_rows(X: np.ndarray, k: int) -> bool:
+    """Whether X has at least k distinct rows, as np.unique(X, axis=0)
+    counts them (-0.0 equals 0.0). Prefixes of max(k, 4096) rows, then
+    twice as many, and so on are checked until one has k: exact, and
+    usually one small sort instead of a sorted copy of X."""
+    m = max(k, _DISTINCT_PREFIX)
+    while True:
+        if len(np.unique(X[:m], axis=0)) >= k:
+            return True
+        if m >= len(X):
+            return False
+        m *= 2
+
+
 def check_k(k: int) -> None:
     """kmeans_fit's cluster-count rule, callable before any data is read."""
     if k < 1:
@@ -271,7 +299,7 @@ def check_k(k: int) -> None:
 
 
 def kmeans_fit(
-    features: FeatureMatrix | np.ndarray,
+    features: Features,
     k: int,
     n_init: int = 10,
     max_iter: int = 300,
@@ -290,10 +318,8 @@ def kmeans_fit(
         raise ValueError(f"n_init must be >= 1, got {n_init}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    X, rows = training_rows(features)
-    # when every row is selected, fit on the matrix itself, not a copy
-    X = np.ascontiguousarray(X) if len(rows) == len(X) else X[rows]
-    if np.unique(X, axis=0).shape[0] < k:
+    X = training_rows(features).all()
+    if not _has_distinct_rows(X, k):
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
     terms = _row_terms(X)
@@ -318,13 +344,13 @@ def kmeans_fit(
     )
 
 
-def kmeans_cluster_ids(model: KMeansModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
+def kmeans_cluster_ids(model: KMeansModel, features: Features) -> np.ndarray:
     """Raw nearest-centroid cluster ids for every row (no class mapping)."""
     labels, _ = _nearest(feature_rows(features, model.d), model.centroids)
     return labels
 
 
-def kmeans_predict(model: KMeansModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
+def kmeans_predict(model: KMeansModel, features: Features) -> np.ndarray:
     """Nearest-centroid class prediction through the cluster->class map."""
     if model.cluster_to_class is None:
         raise ValueError("model has no cluster_to_class map; run align_clusters first")
@@ -506,11 +532,11 @@ def _presorted_split(ranks, labels, weights, counts):
     return divmod(int(cand[0]), k - 1)
 
 
-def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
+def _grow_tree(rows: TrainingRows, ranks, y, boot, max_depth, m_try, rng):
     """Grow one tree on the bootstrap sample ``boot`` of the training rows.
 
-    Training row i is row ``rows[i]`` of X, has class ``y[i]`` and value
-    rank ``ranks[f, i]`` in feature f. The tree holds each drawn row once,
+    Training row i has class ``y[i]`` and value rank ``ranks[f, i]`` in
+    feature f. The tree holds each drawn row once,
     weighted by how often ``boot`` drew it: every count is the one the full
     sample gives, so the tree is the one grown on the full sample. Every
     feature is sorted once, stably, so each position list below is ordered
@@ -572,12 +598,12 @@ def _grow_tree(X, rows, ranks, y, boot, max_depth, m_try, rng):
             continue
         row, pos = split
         f = int(drawn[row])
-        lo, hi = (float(X[rows[distinct[p]], f]) for p in sub[row, pos : pos + 2])
+        lo, hi = rows.column(f, distinct.take(sub[row, pos : pos + 2]))
         thr = 0.5 * (lo + hi)
         if thr >= hi:  # rounding merged the midpoint into the upper value
             thr = lo
         feature[node] = f
-        threshold[node] = thr
+        threshold[node] = float(thr)
         to_left = sub[row, : pos + 1]
         goes_left[to_left] = True
         # Flat boolean selection keeps each row's order and is several
@@ -606,7 +632,7 @@ def check_forest_size(n_trees: int, max_depth: int) -> None:
 
 
 def rf_fit(
-    features: FeatureMatrix | np.ndarray,
+    features: Features,
     labels: np.ndarray,
     n_trees: int = 100,
     max_depth: int = 10,
@@ -627,21 +653,21 @@ def rf_fit(
     features are constant.
     """
     check_forest_size(n_trees, max_depth)
-    X_all, rows = training_rows(features, labels)
-    y = np.asarray(labels).ravel()[rows].astype(np.uint8)
+    rows = training_rows(features, labels)
+    y = rows.select(np.asarray(labels).ravel()).astype(np.uint8)
     # Equal values share a rank, so sorting ranks sorts values; the ranks
     # fit 32 bits and sort by 16-bit radix passes in every tree.
-    n, d = len(rows), X_all.shape[1]
+    n, d = len(rows), rows.d
     ranks = np.empty((d, n), dtype=np.int32)
     for f in range(d):
-        ranks[f] = np.unique(X_all[rows, f], return_inverse=True)[1]
+        ranks[f] = np.unique(rows.column(f), return_inverse=True)[1]
 
     m_try = math.ceil(math.sqrt(d))
     trees = []
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X_all, rows, ranks, y, boot, max_depth, m_try, rng))
+        trees.append(_grow_tree(rows, ranks, y, boot, max_depth, m_try, rng))
     return ForestModel(
         trees=tuple(trees),
         n_trees=n_trees,
@@ -698,7 +724,7 @@ def _stack_trees(trees: tuple[Tree, ...]) -> NodeTable:
     )
 
 
-def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
+def rf_predict_proba(model: ForestModel, features: Features) -> np.ndarray:
     """Mean leaf probability vector across the ensemble, summed in tree order.
 
     Each chunk of rows steps through every tree at once: one gather finds
@@ -723,7 +749,7 @@ def rf_predict_proba(model: ForestModel, features: FeatureMatrix | np.ndarray) -
     return acc
 
 
-def rf_predict(model: ForestModel, features: FeatureMatrix | np.ndarray) -> np.ndarray:
+def rf_predict(model: ForestModel, features: Features) -> np.ndarray:
     """Argmax of the averaged leaf probabilities; ties break to the lowest id."""
     proba = rf_predict_proba(model, features)
     return (proba.argmax(axis=1) + 1).astype(np.uint8)

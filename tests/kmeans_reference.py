@@ -1,17 +1,32 @@
 """Reference k-means Lloyd fit for tests.
 
-It rebuilds the row norms and ``2.0 * X`` on every assignment pass, forms
-each distance block through fresh temporaries and sums clusters with
-``np.add.at``: slow, but plain enough to check by eye. ``reference_kmeans``
+It seeds from whole-data distance arrays, rebuilds the row norms and
+``2.0 * X`` on every assignment pass, forms each distance block through
+fresh temporaries and sums clusters with ``np.add.at``: slow, but plain
+enough to check by eye. ``reference_kmeans``
 must return the same centroids, inertia and inertia history, bit for bit, as
 ``wlcbench.shallow.kmeans_fit`` on the same rows and seed.
 """
 
 import numpy as np
 
-from wlcbench.shallow import _INERTIA_SLACK, _kmeanspp_init
+from wlcbench.shallow import _INERTIA_SLACK
 
 ASSIGN_CHUNK = 262144
+
+
+def reference_kmeanspp_init(X, k, rng):
+    """D^2-weighted seeding over whole-data distance arrays."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    centroids[0] = X[rng.integers(n)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+        centroids[j] = X[idx]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    return centroids
 
 
 def reference_nearest(X, centroids):
@@ -74,7 +89,7 @@ def reference_kmeans(X, k, n_init, max_iter, seed):
     best = None
     for stream in np.random.SeedSequence(seed).spawn(n_init):
         rng = np.random.default_rng(stream)
-        fit = reference_lloyd(X, _kmeanspp_init(X, k, rng), max_iter)
+        fit = reference_lloyd(X, reference_kmeanspp_init(X, k, rng), max_iter)
         if best is None or fit[1] < best[1]:
             best = fit
     return best

@@ -11,9 +11,31 @@ same inputs and config.
 import numpy as np
 
 from wlcbench.maskedlr import LogRegModel, _argmax_class, _mean_class_accuracy
-from wlcbench.preprocess import feature_rows, training_rows
+from wlcbench.preprocess import FeatureMatrix, are_class_ids, check_width
 
 K_CLASSES = 10
+
+
+def training_rows(features, labels):
+    """(X, rows): every row of features as float64 and the ascending ids of
+    the valid, labeled rows, with the fits' refusals."""
+    is_matrix = isinstance(features, FeatureMatrix)
+    X = features.values if is_matrix else np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"expected N×d features with d >= 1, got shape {X.shape}")
+    keep = features.valid_mask.copy() if is_matrix else np.ones(len(X), dtype=bool)
+    labels = np.asarray(labels).ravel()
+    if len(labels) != len(X):
+        raise ValueError(f"labels length {len(labels)} != feature rows {len(X)}")
+    if not are_class_ids(labels, 0):
+        raise ValueError(f"labels must be 0 (no-data) or simplified class ids 1..{K_CLASSES}")
+    keep &= labels != 0
+    rows = np.flatnonzero(keep)
+    if not len(rows):
+        raise ValueError("no valid, masked-in, labeled rows to train on")
+    if not np.isfinite(X[rows]).all():
+        raise ValueError("training features must be finite (no NaN or inf)")
+    return X, rows
 
 
 def _log_softmax(logits):
@@ -51,7 +73,8 @@ def reference_fit(features, labels, config, holdout=None):
     if holdout is not None:
         ho_features, ho_labels = holdout
         ho_X, ho_rows = training_rows(ho_features, ho_labels)
-        ho_X = feature_rows(ho_X, d)[ho_rows]
+        check_width(ho_X.shape[1], d)
+        ho_X = ho_X[ho_rows]
         ho = (ho_X, np.asarray(ho_labels).ravel()[ho_rows].astype(np.int64))
 
     loss_curve = []

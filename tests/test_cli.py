@@ -6,6 +6,7 @@ import dataclasses
 import filecmp
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -667,6 +668,44 @@ def test_console_entry_point_subprocess(split_dir, tmp_path):
     assert json.loads(result.stdout.strip())["patches"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream",
+    [
+        (["train", "--model", "logreg", "--epochs", "1"], 0, "stdout"),  # model written
+        (["train", "--model", "logreg", "--epochs", "1", "--lr", "1e300"], 1, "stderr"),
+        (["train", "--model", "logreg", "--epochs", "x"], 2, "stderr"),
+    ],
+)
+def test_a_process_ends_with_one_complete_line_and_its_exit_code(
+    split_dir, tmp_path, argv, code, stream
+):
+    # The process ends with os._exit after flushing, so a piped (block
+    # buffered) stream must still hold the whole line.
+    model = tmp_path / "m.wlcm"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run(
+        [sys.executable, "-m", "wlcbench.cli", *argv, *split_args(split_dir), "--out", str(model)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == code
+    text = getattr(result, stream)
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    assert isinstance(json.loads(text), dict)
+    assert (result.stdout if stream == "stderr" else result.stderr) == ""
+    assert model.exists() == (code == 0)
+    if code == 0:
+        assert load_model(model).d == 10
+
+
+def test_the_console_script_runs_through_the_process_entry():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '\nwlcbench = "wlcbench.cli:run"\n' in pyproject
+
+
 # --- what each command loads and calls --------------------------------------
 
 MODEL_MODULES = {"wlcbench.shallow", "wlcbench.modelio", "wlcbench.maskedlr"}
@@ -764,8 +803,10 @@ def test_commands_call_through_every_traced_name(tmp_path, capsys, monkeypatch):
     for model, (flags, fit_names, predict_name) in fits.items():
         path = str(tmp_path / f"{model}.wlcm")
         steps += [
+            # train keeps the float32 band rows (preprocess.band_rows) and
+            # never assembles a float64 feature matrix
             (["train", *split_args(d), "--model", model, *flags, "--out", path],
-             {"read_patch", "assemble_features", "save_model", *fit_names}),
+             {"read_patch", "save_model", *fit_names}),
             (["predict", *split_args(d), "--model-file", path,
               "--out", str(tmp_path / f"pred-{model}")],
              {"load_model", "read_patch", "assemble_features", predict_name, "write_patch"}),
@@ -775,6 +816,7 @@ def test_commands_call_through_every_traced_name(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert names <= calls, argv[0]
+        assert ("assemble_features" in calls) == (argv[0] == "predict"), argv[0]
 
 
 # --- argv fuzz --------------------------------------------------------------

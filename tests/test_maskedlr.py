@@ -18,7 +18,7 @@ from wlcbench.maskedlr import (
     logreg_predict_logits,
     masked_ce_loss,
 )
-from wlcbench.preprocess import FeatureMatrix
+from wlcbench.preprocess import FeatureMatrix, training_rows
 
 K = 10
 
@@ -330,7 +330,7 @@ def test_loss_pass_keeps_a_one_row_tail_in_the_chunk_before_it(chunk):
         y[-1] = logits[-1].argmin() + 1
         want, _ = reference_masked_ce_loss(logits, y, np.ones(n, bool))
         with mock.patch.object(maskedlr, "_LOSS_CHUNK", chunk):
-            got = maskedlr._mean_ce(X, np.arange(n), y - 1, W, b)
+            got = maskedlr._mean_ce(training_rows(X), y - 1, W, b)
         assert got == want
 
 

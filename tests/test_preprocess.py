@@ -11,12 +11,16 @@ from conftest import make_patch
 from preprocess_reference import reference_assemble_features
 from wlcbench import preprocess
 from wlcbench.dataset import BandStack, LabelRaster, Patch, Scheme, S2_ALL_BANDS, S2_SURFACE_BANDS
+from wlcbench.labels import SAVANNA
 from wlcbench.preprocess import (
+    BandRows,
     FeatureMatrix,
     FusionConfig,
     FusionMode,
     assemble_features,
+    band_rows,
     feature_rows,
+    normalize_bands,
     normalize_s1,
     normalize_s2,
     select_surface_bands,
@@ -254,6 +258,44 @@ def test_assembly_matches_the_reference_bitwise(case):
     np.testing.assert_array_equal(into.valid_mask, want.valid_mask)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=assembly_cases(), exclude=st.sampled_from([frozenset(), frozenset({SAVANNA})]))
+def test_band_rows_normalize_to_the_reference_rows_bitwise(case, exclude):
+    patch, config = case
+    want = reference_assemble_features(patch, config)
+    labels = patch.lr_labels.values.ravel()
+    trains = want.valid_mask & ~np.isin(labels, list(exclude))  # no non-finite, 0 or excluded
+    m = int(trains.sum())
+    out = np.full((len(labels) + 1, config.d), 7.0, dtype=np.float32)
+    keep = band_rows(patch, config, out, exclude)
+    np.testing.assert_array_equal(keep, trains)
+    assert (out[m:] == 7.0).all()  # nothing written past the training rows
+    rows = want.values[trains]
+    assert normalize_bands(out[:m]).tobytes() == rows.tobytes()
+    if not m:
+        return
+    # each reader of BandRows gives the same bytes
+    reader = training_rows(BandRows(out[:m]))
+    assert reader.all().tobytes() == rows.tobytes()
+    block = np.empty((m, config.d))
+    backwards = np.arange(m)[::-1]
+    assert reader.read(backwards, block).tobytes() == rows[backwards].tobytes()
+    assert reader.read(slice(1, m), block[1:]).tobytes() == rows[1:].tobytes()
+    for f in range(config.d):
+        assert reader.column(f).tobytes() == rows[:, f].tobytes()
+        assert reader.column(f, backwards[:2]).tobytes() == rows[backwards[:2], f].tobytes()
+
+
+def test_band_rows_refuse_an_output_of_another_width_type_or_length():
+    patch = make_patch(np.array([[1, 0], [2, 2]], dtype=np.uint8))
+    band_rows(patch, FusionConfig(), np.empty((3, 10), dtype=np.float32))
+    for bad in (
+        np.empty((4, 10)), np.empty((4, 12), dtype=np.float32), np.empty((2, 10), dtype=np.float32)
+    ):
+        with pytest.raises(ValueError, match="band rows need a float32 output of 3 or more rows"):
+            band_rows(patch, FusionConfig(), bad)
+
+
 def test_assembly_refuses_an_output_of_another_shape_or_type():
     patch = make_patch(np.ones((2, 2), dtype=np.uint8))
     for bad in (np.empty((4, 12)), np.empty((3, 10)), np.empty((4, 10), dtype=np.float32)):
@@ -312,13 +354,15 @@ def test_feature_rows_checks_the_model_width():
 def test_training_rows_filters():
     lr = np.array([[1, 0, 2, 3]], dtype=np.uint8)
     fm = assemble_features(make_patch(lr), FusionConfig.from_string("s2"))
-    X, rows = training_rows(fm)
-    assert X is fm.values
-    np.testing.assert_array_equal(rows, [0, 2, 3])  # valid_mask drops the LR no-data
+    ids = np.arange(4)
+    rows = training_rows(fm)
+    np.testing.assert_array_equal(rows.select(ids), [0, 2, 3])  # valid_mask drops the LR no-data
+    np.testing.assert_array_equal(rows.all(), fm.values[[0, 2, 3]])
+    assert training_rows(fm.values).all() is fm.values  # every row selected: no copy
     labels = np.array([1, 1, 0, 3])
     mask = np.array([True, True, True, False])
-    np.testing.assert_array_equal(training_rows(fm.with_mask(mask), labels)[1], [0])
-    np.testing.assert_array_equal(training_rows(fm.values, labels)[1], [0, 1, 3])
+    np.testing.assert_array_equal(training_rows(fm.with_mask(mask), labels).select(ids), [0])
+    np.testing.assert_array_equal(training_rows(fm.values, labels).select(ids), [0, 1, 3])
     # a one-entry mask would broadcast over every row
     with pytest.raises(ValueError, match="mask length 1 != feature rows 4"):
         fm.with_mask(mask[:1])
@@ -331,9 +375,9 @@ def test_training_rows_checks_finiteness_in_every_chunk():
     with mock.patch.object(preprocess, "_FINITE_CHUNK", 4):
         with pytest.raises(ValueError, match="must be finite"):
             training_rows(X)
-        _, rows = training_rows(FeatureMatrix(X, np.arange(10) != 9))
-    np.testing.assert_array_equal(rows, np.arange(9))
-    assert rows.dtype == np.int32
+        rows = training_rows(FeatureMatrix(X, np.arange(10) != 9))
+    np.testing.assert_array_equal(rows.select(np.arange(10)), np.arange(9))
+    assert rows._rows.dtype == np.int32
 
 
 def _fit(kind, features, labels):

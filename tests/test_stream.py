@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlcbench import dataset, metrics, modelio, shallow
+from wlcbench import cli as cli_module, dataset, metrics, modelio, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -32,11 +32,17 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import IGBP_TO_SIMPLIFIED, SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
+from wlcbench.maskedlr import LogRegConfig, LogRegModel
 from wlcbench.modelio import load_model
-from wlcbench.preprocess import FusionConfig, assemble_features
+from wlcbench.shallow import ForestModel, KMeansModel, Tree
+from wlcbench.preprocess import FeatureMatrix, FusionConfig, assemble_features
 from wlcbench.render import render_labels
 
 from conftest import make_patch
+from kmeans_reference import reference_kmeans, reference_nearest
+from logreg_reference import reference_fit
+from preprocess_reference import reference_assemble_features
+from rf_reference import reference_trees
 from stream_reference import (
     reference_aggregate_confusion,
     reference_class_histogram,
@@ -267,6 +273,67 @@ def test_predict_output_equals_the_reference(mixed_split, rf_model, tmp_path):
     )
 
 
+def float64_training_features(d, fusion, mask_savanna):
+    """The split's features as train once held them: every pixel's row of
+    the reference assembly in one float64 FeatureMatrix, Savanna masked out
+    with with_mask, and the simplified LR labels."""
+    _, patches = loaded(d)
+    parts = [reference_assemble_features(p, FusionConfig.from_string(fusion)) for p in patches]
+    labels = np.concatenate([p.lr_labels.values.ravel() for p in patches])
+    feats = FeatureMatrix(
+        np.vstack([f.values for f in parts]), np.concatenate([f.valid_mask for f in parts])
+    )
+    return (feats.with_mask(labels != SAVANNA) if mask_savanna else feats), labels
+
+
+@pytest.mark.parametrize("mask", [True, False])
+@pytest.mark.parametrize("model", ["kmeans", "rf", "logreg"])
+def test_train_writes_the_bytes_of_a_fit_on_float64_features(mixed_split, tmp_path, model, mask):
+    fusion = "s1s2" if model == "rf" else "s2"
+    flags = {
+        "kmeans": ["--seed", 2],
+        "rf": ["--trees", 3, "--depth", 6, "--seed", 4],
+        "logreg": ["--epochs", 3, "--lr", 1.0, "--seed", 5],
+    }[model]
+    # a copy of the split with a block of no-data LR labels in one scene
+    d = Path(shutil.copytree(mixed_split, tmp_path / "split"))
+    patch = next(iter_patches(load_manifest(d / "manifest.json"), d))
+    lr = patch.lr_labels.values.copy()
+    lr[4:12, 8:20] = 0
+    write_patch(dataclasses.replace(patch, lr_labels=LabelRaster(lr, Scheme.SIMPLIFIED10)),
+                d / f"{patch.id}.wlcb")
+    path = tmp_path / "m.wlcm"
+    code, out, err = cli("train", *split_args(d), "--model", model, "--fusion", fusion,
+                         "--mask-savanna", str(mask).lower(), *flags, "--out", path)
+    assert code == 0, err
+
+    # the reference fits, on the float64 rows
+    feats, labels = float64_training_features(d, fusion, mask)
+    rows = feats.valid_mask & (labels != 0)
+    if model == "kmeans":
+        k = len(np.unique(labels[rows]))
+        centroids, inertia, history = reference_kmeans(feats.values[rows], k, 10, 300, 2)
+        centroids = centroids.astype(np.float32).astype(np.float64)
+        clusters, _ = reference_nearest(feats.values, centroids)
+        want = KMeansModel(centroids, inertia, None, 2, 10, 300, history)
+        want.cluster_to_class = shallow.align_clusters(clusters, labels, feats.valid_mask)
+        curve = "iteration,inertia\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(history))
+    elif model == "rf":
+        trees = reference_trees(feats.values[rows], labels[rows], 3, 6, 4)
+        want = ForestModel(tuple(Tree(*t) for t in trees), 3, 6, 12, 4)
+        curve = "tree,n_nodes\n" + "".join(f"{i},{t.n_nodes}\n" for i, t in enumerate(want.trees))
+    else:
+        want = reference_fit(feats, labels, LogRegConfig(learning_rate=1.0, epochs=3, seed=5))
+        curve = "epoch,loss,holdout_aa\n" + "".join(
+            f"{i},{v!r},\n" for i, v in enumerate(want.loss_curve)
+        )
+    assert path.read_bytes() == modelio.model_to_bytes(want)
+    assert Path(f"{path}.curve.csv").read_text() == curve
+    dropped = (labels == 0) | ((labels == SAVANNA) if mask else False)
+    assert json.loads(out)["training_rows"] == rows.sum() == len(labels) - dropped.sum()
+    assert (labels == 0).sum() == 96 and (not mask or (labels == SAVANNA).any())
+
+
 def test_predict_output_equals_the_reference_across_patch_sizes(rf_model, tmp_path):
     # predict reuses one feature buffer: it grows for a larger patch and a
     # smaller one is written into its first rows
@@ -342,10 +409,12 @@ def test_peak_memory_does_not_grow_with_the_split(sized_splits, tmp_path, comman
 
 
 def test_train_peak_grows_by_about_the_added_feature_rows(sized_splits, tmp_path):
-    # train fills one feature matrix sized from the container headers; the
-    # rest that grows with the split is the masks, labels and the fit's
-    # int32 rows, int8 label slots and float64 loss terms. Filling per-patch
-    # matrices and concatenating them grew by about 2.5 times the rows.
+    # train fills one float32 band matrix sized from the container headers
+    # (half the float64 feature rows); the rest that grows with the split
+    # is the labels and, per training row, the fit's int32 positions and
+    # shuffled order, int8 label slots and float64 loss terms. A float64
+    # feature matrix grew by 1.21 times the rows, and per-patch matrices
+    # concatenated by about 2.5 times.
     d, _ = sized_splits
 
     def argv(manifest, run):
@@ -356,7 +425,32 @@ def test_train_peak_grows_by_about_the_added_feature_rows(sized_splits, tmp_path
     small = traced_peak(argv("manifest-8.json", "8"))
     large = traced_peak(argv("manifest.json", "32"))
     added = 24 * 32 * 32 * FusionConfig().d * 8
-    assert large - small <= 1.25 * added, f"peak grew by {(large - small) / added:.2f}x"
+    assert large - small <= 0.75 * added, f"peak grew by {(large - small) / added:.2f}x"
+
+
+def test_train_feature_storage_grows_by_at_most_six_tenths_of_the_rows(
+    sized_splits, tmp_path, monkeypatch
+):
+    # With the fit stubbed out, what grows with the split is the feature
+    # storage: float32 band rows of the split's pixels (half the float64
+    # rows) and their labels. A float64 feature matrix with its valid mask
+    # and labels grew by 1.25 times the rows.
+    d, _ = sized_splits
+
+    def no_fit(features, labels, config):
+        return LogRegModel(np.zeros((features.d, 10)), np.zeros(10), config, loss_curve=(1.0,))
+
+    monkeypatch.setattr(cli_module, "logreg_fit", no_fit)
+
+    def argv(manifest, run):
+        return ["train", *split_args(d, manifest), "--model", "logreg", "--epochs", 1,
+                "--out", tmp_path / f"m-{run}.wlcm"]
+
+    cli(*argv("manifest-8.json", "warm"))
+    small = traced_peak(argv("manifest-8.json", "8"))
+    large = traced_peak(argv("manifest.json", "32"))
+    added = 24 * 32 * 32 * FusionConfig().d * 8
+    assert large - small <= 0.6 * added, f"storage grew by {(large - small) / added:.2f}x"
 
 
 def test_a_container_resized_after_the_probe_fails_train(mixed_split, tmp_path, monkeypatch):
