@@ -8,6 +8,11 @@ exit 1 for data and runtime errors.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # ``python -m wlcbench.cli``: set before numpy loads
+    from .entry import one_blas_thread
+
+    one_blas_thread()
+
 import argparse
 import dataclasses
 import importlib
@@ -287,7 +292,7 @@ def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarr
 
 def cmd_predict(args) -> int:
     from . import modelio
-    from .preprocess import FusionConfig, check_width
+    from .preprocess import ROW_BLOCK, FusionConfig, check_width, row_blocks
 
     manifest, patches = _load_split(args)
     # the model and its width are checked before any patch is read or written
@@ -296,15 +301,14 @@ def cmd_predict(args) -> int:
     check_width(fusion.d, model.d)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # one feature buffer, overwritten by each patch: no patch's features
-    # outlive it, and the allocator is not asked for a new matrix each time
-    rows = np.empty((0, fusion.d))
+    # each patch is predicted one row block at a time through one feature
+    # buffer, so no patch's float64 rows are held whole, whatever its size
+    block = np.empty((ROW_BLOCK + 1, fusion.d))
     for patch in patches:
-        n = patch.height * patch.width
-        if len(rows) < n:
-            rows = np.empty((n, fusion.d))
-        feats = assemble_features(patch, fusion, out=rows[:n])
-        pred = _predict_vector(model, feats, args.mask_savanna)
+        pred = np.empty(patch.height * patch.width, dtype=np.uint8)
+        for rows in row_blocks(len(pred)):
+            feats = assemble_features(patch, fusion, out=block[: rows.stop - rows.start], rows=rows)
+            pred[rows] = _predict_vector(model, feats, args.mask_savanna)
         raster = LabelRaster(pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10)
         write_patch(dataclasses.replace(patch, lr_labels=raster), out / f"{patch.id}.wlcb")
     # last, so a run that fails partway leaves no manifest to read it by
@@ -474,8 +478,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        # a split too large for this machine is a data error, not a crash
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 1
 
 

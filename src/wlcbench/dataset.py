@@ -205,7 +205,9 @@ class ContainerHeader:
 
 
 def _read_header(fh, path: Path) -> ContainerHeader:
-    """Parse and check the header at the start of the open file fh."""
+    """Parse and check the header at the start of the open file fh, and the
+    file's size against it, so no caller sizes anything from a header the
+    file does not match."""
     data = fh.read(_HEADER.size)
     if len(data) < _HEADER.size:
         raise ContainerError(f"truncated header: {len(data)} bytes at offset 0 in {path}")
@@ -224,12 +226,17 @@ def _read_header(fh, path: Path) -> ContainerHeader:
         scheme = Scheme(scheme_id)
     except ValueError:
         raise ContainerError(f"unknown scheme id {scheme_id} at offset 17") from None
-    return ContainerHeader(h, w, bool(s1_present), s2_bands, bool(hr_present), scheme)
+    header = ContainerHeader(h, w, bool(s1_present), s2_bands, bool(hr_present), scheme)
+    size = os.fstat(fh.fileno()).st_size
+    if size != header.size:
+        raise _size_error(size, header.size)
+    return header
 
 
 def read_header(path: str | Path) -> ContainerHeader:
-    """Read and check only the header of a WLCB container; a bad header
-    raises the ContainerError read_patch raises for it."""
+    """Read and check the header of a WLCB container and the file's size,
+    reading nothing past the header; a bad header or size raises the
+    ContainerError read_patch raises for it."""
     path = Path(path)
     with open(path, "rb") as fh:
         return _read_header(fh, path)
@@ -251,9 +258,6 @@ def read_patch(path: str | Path) -> Patch:
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         expected = header.size
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise _size_error(size, expected)
         # the float planes start at offset 0 of the (aligned) payload buffer
         payload = np.empty(expected - _HEADER.size, dtype=np.uint8)
         got = fh.readinto(payload)
@@ -360,14 +364,30 @@ def write_patch(patch: Patch, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class SplitManifest:
-    """Named list of patch ids with its benchmarking role."""
+    """Named list of patch ids with its benchmarking role.
+
+    A patch id is a plain file name: the commands read ``{data_dir}/{id}.wlcb``
+    and write outputs named by the id, so an id may not be empty, ``.`` or
+    ``..``, or contain ``/``, ``\\`` or NUL, and no two ids are the same.
+    """
 
     name: str
     role: SplitRole
     patch_ids: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ManifestError(f"manifest name must be a string, got {self.name!r}")
         object.__setattr__(self, "patch_ids", tuple(self.patch_ids))
+        for pid in self.patch_ids:
+            if (
+                not isinstance(pid, str)
+                or pid in ("", ".", "..")
+                or any(c in pid for c in "/\\\0")
+            ):
+                raise ManifestError(
+                    f"patch id {pid!r} in manifest {self.name!r} is not a plain file name"
+                )
         if len(set(self.patch_ids)) != len(self.patch_ids):
             raise ManifestError(f"duplicate patch ids in manifest {self.name!r}")
 
@@ -394,7 +414,7 @@ def load_manifest(path: str | Path) -> SplitManifest:
     ids = raw["patch_ids"]
     if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
         raise ManifestError(f"manifest {path} field 'patch_ids' must be a list of strings")
-    return SplitManifest(str(raw["name"]), role, tuple(ids))
+    return SplitManifest(raw["name"], role, tuple(ids))
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path) -> None:

@@ -21,18 +21,19 @@ import numpy as np
 from .dataset import N_SIMPLIFIED_CLASSES
 from .labels import SAVANNA
 from .preprocess import (
+    ROW_BLOCK,
     Features,
     TrainingRows,
     are_class_ids,
     check_width,
     feature_rows,
+    row_blocks,
     training_rows,
 )
 
-# Rows per logit product in the epoch loss pass. At multiples of 64 the rows
-# of a chunked product matched one full-data product bit for bit on OpenBLAS
-# (tests/logreg_reference.py is the check), so the loss curve keeps its bits.
-_LOSS_CHUNK = 4096
+# Rows per logit product in the epoch loss pass; a multiple of 64, so the
+# loss curve keeps the bits of one full-data pass (see ROW_BLOCK).
+_LOSS_CHUNK = ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -153,23 +154,16 @@ def _mean_ce(
 ) -> float:
     """Mean cross-entropy of the model (W, b) over the training rows, whose
     0-based label slots are y0, with no gradient. The logits are formed
-    _LOSS_CHUNK rows at a time and each row's term is kept in one vector,
-    which is then summed once: the same values and the same sum as one
-    full-data pass."""
+    over the row_blocks of _LOSS_CHUNK rows and each row's term is kept in
+    one vector, which is then summed once: the same values and the same sum
+    as one full-data pass."""
     n = len(rows)
     if blocks is None:
         blocks = _Blocks(min(n, _LOSS_CHUNK + 1), rows.d)
     terms = np.empty(n)
-    start = 0
-    while start < n:
-        stop = start + _LOSS_CHUNK
-        if stop >= n - 1:
-            # a one-row product takes another BLAS path that can round
-            # differently, so a one-row tail joins the chunk before it
-            stop = n
-        _, logp = blocks.log_probs(rows, slice(start, stop), stop - start, W, b)
-        terms[start:stop] = _ce_terms(logp, y0[start:stop])
-        start = stop
+    for block in row_blocks(n, _LOSS_CHUNK):
+        _, logp = blocks.log_probs(rows, block, block.stop - block.start, W, b)
+        terms[block] = _ce_terms(logp, y0[block])
     return float(-terms.sum() / n)
 
 

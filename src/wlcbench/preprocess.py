@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +29,11 @@ _DROPPED_ATMOSPHERIC = ("B1", "B9", "B10")
 _N_SURFACE = len(S2_SURFACE_BANDS)
 # Rows per finiteness check in training_rows; bounds its boolean scratch.
 _FINITE_CHUNK = 65536
+# Rows per block of a blocked pass (row_blocks). At multiples of 64 the rows
+# of a blocked product matched one whole-matrix product bit for bit on
+# OpenBLAS (the whole-pass references in the tests are the check), so the
+# logreg loss curve and predict's labels keep the bits of whole-matrix passes.
+ROW_BLOCK = 4096
 
 
 class FusionMode(Enum):
@@ -55,6 +61,19 @@ def check_width(d: int, model_d: int) -> None:
     """Raise unless features of width d fit a model of width model_d."""
     if d != model_d:
         raise ValueError(f"feature dimension d={d} != model dimension d={model_d}")
+
+
+def row_blocks(n: int, size: int = ROW_BLOCK) -> Iterator[slice]:
+    """Slices of rows 0..n in order, each of ``size`` rows but the last. A
+    one-row product takes another BLAS path that can round differently, so
+    a one-row tail joins the block before it, which then has size + 1 rows."""
+    start = 0
+    while start < n:
+        stop = start + size
+        if stop >= n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
 
 
 def _rescale(x, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
@@ -342,20 +361,26 @@ def _finite_pixels(planes: list[np.ndarray]) -> np.ndarray:
 
 
 def assemble_features(
-    patch: Patch, config: FusionConfig, out: np.ndarray | None = None
+    patch: Patch,
+    config: FusionConfig,
+    out: np.ndarray | None = None,
+    rows: slice = slice(None),
 ) -> FeatureMatrix:
-    """Build the N×d per-pixel feature matrix for one patch, row-major.
+    """Build the per-pixel feature matrix of one patch, row-major: one row
+    per pixel in ``rows``, a slice of the H·W pixel positions (every pixel
+    by default), in pixel order.
 
     Columns are the ten surface S2 bands first, then normalized VV, VH under
     fusion. Rows whose sources were non-finite before clipping, or whose LR
     label is 0, are masked out. The features are written to ``out`` when
-    given (an N×d float64 array, such as rows of a larger matrix), else to
-    a new array: the bands are copied in and normalized in place
-    (``normalize_bands``).
+    given (an m×d float64 array for m selected pixels, such as a block of a
+    larger buffer), else to a new array: the bands are copied in and
+    normalized in place (``normalize_bands``). A row's values do not depend
+    on the range it was built in.
     """
-    planes = _feature_planes(patch, config)
     n = patch.height * patch.width
-    shape = (n, config.d)
+    planes = [plane[rows] for plane in _feature_planes(patch, config)]
+    shape = (len(planes[0]), config.d)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
@@ -364,7 +389,7 @@ def assemble_features(
         out[:, col] = plane
     valid = _finite_pixels(planes)
     normalize_bands(out, out)
-    valid &= patch.lr_labels.values.reshape(n) != 0
+    valid &= patch.lr_labels.values.reshape(n)[rows] != 0
     return FeatureMatrix(values=out, valid_mask=valid)
 
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import filecmp
 import io
 import json
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -703,7 +705,61 @@ def test_a_process_ends_with_one_complete_line_and_its_exit_code(
 
 def test_the_console_script_runs_through_the_process_entry():
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    assert '\nwlcbench = "wlcbench.cli:run"\n' in pyproject
+    assert '\nwlcbench = "wlcbench.entry:run"\n' in pyproject
+
+
+PROCESS_ENTRIES = {
+    "module": ["-m", "wlcbench.cli"],
+    "script": ["-c", "from wlcbench.entry import run; run()"],
+}
+
+
+def command_threads(entry: str, env: dict, fifo: Path) -> int:
+    """Threads of a ``stats`` process of the given entry once numpy has
+    loaded: the process waits to read its manifest from a FIFO while
+    /proc/<pid>/task is counted, then fails on a manifest that is no object."""
+    os.mkfifo(fifo)
+    proc = subprocess.Popen(
+        [sys.executable, *PROCESS_ENTRIES[entry], "stats", "--manifest", str(fifo),
+         "--data-dir", str(fifo.parent)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while True:  # the write end opens once the command opens its manifest
+            try:
+                fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError as exc:
+                assert exc.errno == errno.ENXIO, exc
+                assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+                time.sleep(0.01)
+        threads = len(os.listdir(f"/proc/{proc.pid}/task"))
+        os.write(fd, b"[]")
+        os.close(fd)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1 and "is not a JSON object" in err, err
+    return threads
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads Linux /proc")
+@pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_a_command_process_runs_one_blas_thread_unless_its_environment_says(
+    tmp_path, entry, setting
+):
+    from wlcbench.entry import BLAS_THREAD_VARIABLES
+
+    want = 1 if setting is None else int(setting)
+    if want > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS starts at most one thread per CPU this process may use")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    assert command_threads(entry, env, tmp_path / "manifest.json") == want
 
 
 # --- what each command loads and calls --------------------------------------

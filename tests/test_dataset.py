@@ -163,8 +163,12 @@ def test_malformed_containers_rejected(tmp_path, mutate, message):
         lambda b: b[:15] + b"\x00" + b[16:],
         lambda b: b[:16] + b"\x05" + b[17:],
         lambda b: b[:17] + b"\x07" + b[18:],
+        lambda b: b[:-1],
+        lambda b: b + b"\x00",
+        lambda b: b[:6] + struct.pack("<I", 65535) + b[10:],
     ],
-    ids=["empty", "short", "magic", "version", "height", "s1_flag", "s2_bands", "hr_flag", "scheme"],
+    ids=["empty", "short", "magic", "version", "height", "s1_flag", "s2_bands", "hr_flag", "scheme",
+         "truncated_body", "trailing_byte", "inflated_height"],
 )
 def test_header_probe_and_read_give_the_same_error(tmp_path, mutate):
     path = tmp_path / "m.wlcb"
@@ -186,11 +190,11 @@ def test_header_probe_reads_the_layout_and_size(tmp_path):
     assert (header.s1_present, header.s2_bands, header.hr_present) == (True, 13, True)
     assert header.scheme is Scheme.SIMPLIFIED10
     assert header.size == os.path.getsize(path)
-    # the probe reads the header alone: a truncated body is read_patch's to find
+    # the probe reads no body, but checks the file's size against the header
     path.write_bytes(path.read_bytes()[:-1])
-    assert read_header(path) == header
-    with pytest.raises(ContainerError, match="container size"):
-        read_patch(path)
+    for read in (read_header, read_patch):
+        with pytest.raises(ContainerError, match=f"container size {header.size - 1} != expected"):
+            read(path)
 
 
 def test_a_container_that_shrinks_after_its_size_check_is_refused(tmp_path, monkeypatch):

@@ -334,6 +334,20 @@ def test_loss_pass_keeps_a_one_row_tail_in_the_chunk_before_it(chunk):
         assert got == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 4098, 8192, 8193, 12289])
+def test_loss_pass_over_row_blocks_keeps_the_bits_of_one_full_data_pass(n):
+    # _mean_ce forms its logits over preprocess.row_blocks: full blocks of
+    # 4096 rows, a partial last block, or a one-row tail joined to the
+    # block before it
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 12))
+    W = rng.normal(0, 3, (12, K))
+    b = rng.normal(0, 1, K)
+    y = rng.integers(1, K + 1, n)
+    want, _ = reference_masked_ce_loss(X @ W + b, y, np.ones(n, bool))
+    assert maskedlr._mean_ce(training_rows(X), y - 1, W, b) == want
+
+
 def test_fit_scratch_memory_stays_below_its_input():
     rng = np.random.default_rng(7)
     X = rng.random((200_000, 10))

@@ -239,8 +239,8 @@ def assembly_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(assembly_cases())
-def test_assembly_matches_the_reference_bitwise(case):
+@given(assembly_cases(), st.data())
+def test_assembly_matches_the_reference_bitwise(case, data):
     patch, config = case
     got = assemble_features(patch, config)
     want = reference_assemble_features(patch, config)
@@ -256,6 +256,14 @@ def test_assembly_matches_the_reference_bitwise(case):
     assert big[1 : n + 1].tobytes() == want.values.tobytes()
     assert (big[0] == 7.0).all() and (big[-1] == 7.0).all()
     np.testing.assert_array_equal(into.valid_mask, want.valid_mask)
+    # a pixel range gives those rows of the whole patch, into a block
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    block = np.full((n + 1, config.d), 7.0)
+    part = assemble_features(patch, config, out=block[: stop - start], rows=slice(start, stop))
+    assert part.values.tobytes() == want.values[start:stop].tobytes()
+    assert (block[stop - start :] == 7.0).all()
+    np.testing.assert_array_equal(part.valid_mask, want.valid_mask[start:stop])
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,6 +309,36 @@ def test_assembly_refuses_an_output_of_another_shape_or_type():
     for bad in (np.empty((4, 12)), np.empty((3, 10)), np.empty((4, 10), dtype=np.float32)):
         with pytest.raises(ValueError, match="feature output must be"):
             assemble_features(patch, FusionConfig(), out=bad)
+    with pytest.raises(ValueError, match=r"feature output must be \(2, 10\) float64"):
+        assemble_features(patch, FusionConfig(), out=np.empty((4, 10)), rows=slice(1, 3))
+
+
+@pytest.mark.parametrize(
+    "n, size, stops",
+    [
+        (0, 4, []),
+        (1, 4, [1]),
+        (4, 4, [4]),
+        (5, 4, [5]),  # a one-row tail joins the block before it
+        (6, 4, [4, 6]),
+        (9, 4, [4, 9]),
+        (10, 4, [4, 8, 10]),
+        (8193, 4096, [4096, 8193]),
+    ],
+)
+def test_row_blocks_cover_the_rows_in_order_with_no_one_row_block(n, size, stops):
+    blocks = list(preprocess.row_blocks(n, size))
+    assert [b.stop for b in blocks] == stops
+    assert [b.start for b in blocks] == [0, *stops][: len(stops)]
+    assert all(b.step is None for b in blocks)
+    assert all(b.stop - b.start > 1 for b in blocks) or n == 1
+
+
+def test_row_blocks_default_to_a_multiple_of_64_rows():
+    assert preprocess.ROW_BLOCK % 64 == 0
+    assert [b.stop for b in preprocess.row_blocks(2 * preprocess.ROW_BLOCK + 1)] == [
+        preprocess.ROW_BLOCK, 2 * preprocess.ROW_BLOCK + 1
+    ]
 
 
 @pytest.mark.parametrize("n_s2", [10, 13])

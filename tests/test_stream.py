@@ -32,7 +32,7 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import IGBP_TO_SIMPLIFIED, SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
-from wlcbench.maskedlr import LogRegConfig, LogRegModel
+from wlcbench.maskedlr import LogRegConfig, LogRegModel, logreg_predict
 from wlcbench.modelio import load_model
 from wlcbench.shallow import ForestModel, KMeansModel, Tree
 from wlcbench.preprocess import FeatureMatrix, FusionConfig, assemble_features
@@ -334,28 +334,45 @@ def test_train_writes_the_bytes_of_a_fit_on_float64_features(mixed_split, tmp_pa
     assert (labels == 0).sum() == 96 and (not mask or (labels == SAVANNA).any())
 
 
-def test_predict_output_equals_the_reference_across_patch_sizes(rf_model, tmp_path):
-    # predict reuses one feature buffer: it grows for a larger patch and a
-    # smaller one is written into its first rows
+def whole_patch_prediction(model, patch) -> np.ndarray:
+    """The labels of one prediction over every pixel of the patch at once."""
+    feats = assemble_features(patch, FusionConfig())
+    if isinstance(model, KMeansModel):
+        return shallow.kmeans_predict(model, feats)
+    if isinstance(model, ForestModel):
+        return shallow.rf_predict(model, feats)
+    return logreg_predict(model, feats, exclude_classes=frozenset({SAVANNA}))
+
+
+def test_predict_output_equals_the_reference_across_patch_sizes(model_files, tmp_path):
+    # predict walks each patch in row blocks of one reused buffer; its labels
+    # equal one whole-patch prediction on a patch of one pixel, of one full
+    # block, of one block and a one-row tail joined to it, and of blocks with
+    # a partial last one, a small patch following a large one
     rng = np.random.default_rng(11)
     d = tmp_path / "sizes"
     d.mkdir()
     patches = []
-    for i, side in enumerate([8, 16, 4, 16, 12]):
-        lr = rng.integers(0, 11, (side, side), dtype=np.uint8)
-        s2 = rng.uniform(-500, 1.2e4, (10, side, side))
+    for i, (h, w) in enumerate([(64, 64), (1, 1), (129, 129), (1, 4097), (65, 65)]):
+        lr = rng.integers(0, 11, (h, w), dtype=np.uint8)
+        s2 = rng.uniform(-500, 1.2e4, (10, h, w))
         patches.append(make_patch(lr, s2=s2, patch_id=f"p{i}"))
         write_patch(patches[-1], d / f"p{i}.wlcb")
     save_manifest(SplitManifest("sizes", SplitRole.TEST, [p.id for p in patches]),
                   d / "manifest.json")
-    code, _, err = cli("predict", *split_args(d), "--model-file", rf_model, "--out", tmp_path / "p")
-    assert code == 0, err
-    model = load_model(rf_model)
-    for p in patches:
-        pred = shallow.rf_predict(model, assemble_features(p, FusionConfig()))
-        raster = LabelRaster(pred.reshape(p.height, p.width), Scheme.SIMPLIFIED10)
-        expected = patch_to_bytes(dataclasses.replace(p, lr_labels=raster))
-        assert (tmp_path / "p" / f"{p.id}.wlcb").read_bytes() == expected
+    for kind, data in sorted(model_files.items()):
+        path = tmp_path / f"{kind}.wlcm"
+        path.write_bytes(data)
+        code, _, err = cli("predict", *split_args(d), "--model-file", path,
+                           "--out", tmp_path / kind)
+        assert code == 0, err
+        model = load_model(path)
+        for p in patches:
+            pred = whole_patch_prediction(model, p)
+            raster = LabelRaster(pred.reshape(p.height, p.width), Scheme.SIMPLIFIED10)
+            expected = patch_to_bytes(dataclasses.replace(p, lr_labels=raster))
+            got = (tmp_path / kind / f"{p.id}.wlcb").read_bytes()
+            assert got == expected, (kind, p.height, p.width)
 
 
 # --- memory does not grow with the split -------------------------------------
@@ -406,6 +423,42 @@ def test_peak_memory_does_not_grow_with_the_split(sized_splits, tmp_path, comman
     assert large - small < 2 * container, (
         f"{command}: peak {small / container:.1f} -> {large / container:.1f} containers"
     )
+
+
+@pytest.fixture(scope="module")
+def scene_sizes(tmp_path_factory):
+    """Two scenes of 64 px in s64, two of 256 px in s256, and a model of each
+    kind trained on s64."""
+    d = tmp_path_factory.mktemp("scene-sizes")
+    for size in (64, 256):
+        assert cli("synth", "--out", d / f"s{size}", "--size", size, "--n-scenes", 2,
+                   "--seed", 3)[0] == 0
+    flags = {"kmeans": ["--k", 4], "rf": ["--trees", 2, "--depth", 4], "logreg": ["--epochs", 1]}
+    for kind, extra in flags.items():
+        assert cli("train", *split_args(d / "s64"), "--model", kind, *extra,
+                   "--out", d / f"{kind}.wlcm")[0] == 0
+    return d
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "rf", "logreg"])
+def test_predict_peak_grows_with_the_containers_not_the_feature_rows(scene_sizes, tmp_path, kind):
+    # predict holds its patch, the one before it while the stream reads the
+    # next, and one block of feature rows: from 64 px to 256 px scenes its
+    # peak grows by 2.0 to 2.1 containers, where a whole patch of float64
+    # feature rows and the model's per-row temporaries grew it by 4.3 to 5.8
+    d = scene_sizes
+
+    def argv(size, run):
+        return ["predict", *split_args(d / f"s{size}"), "--model-file", d / f"{kind}.wlcm",
+                "--out", tmp_path / f"p-{run}"]
+
+    cli(*argv(64, "warm"))
+    small = traced_peak(argv(64, "small"))
+    large = traced_peak(argv(256, "large"))
+    growth = os.path.getsize(d / "s256" / "scene-00000.wlcb") - os.path.getsize(
+        d / "s64" / "scene-00000.wlcb"
+    )
+    assert large - small < 2.5 * growth, f"peak grew by {(large - small) / growth:.2f} containers"
 
 
 def test_train_peak_grows_by_about_the_added_feature_rows(sized_splits, tmp_path):
