@@ -27,6 +27,7 @@ from .preprocess import (
     are_class_ids,
     check_width,
     feature_rows,
+    index_dtype,
     row_blocks,
     training_rows,
 )
@@ -205,19 +206,20 @@ def logreg_fit(
             raise ValueError(f"holdout: {exc}") from None
         ho = (ho_rows.all(), ho_rows.select(np.asarray(ho_labels).ravel()).astype(np.int64))
 
-    positions = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
     blocks = _Blocks(max(min(config.batch_size, n), min(_LOSS_CHUNK + 1, n)), d)
     loss_curve: list[float] = []
     holdout_curve: list[float] = []
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for epoch in range(config.epochs):
-        order = rng.permutation(positions)
+        order = np.arange(n, dtype=index_dtype(n))
+        rng.shuffle(order)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             Xb, logp = blocks.log_probs(rows, batch, len(batch), W, b)
             grad = _ce_grad(logp, y0[batch])
             W -= config.learning_rate * (Xb.T @ grad)
             b -= config.learning_rate * grad.sum(axis=0)
+        del order, batch  # the loss pass holds its terms, not the row order
         loss = _mean_ce(rows, y0, W, b, blocks)
         if not np.isfinite(loss):
             raise FloatingPointError(

@@ -111,18 +111,41 @@ def _pack_header(kind: int, *values) -> bytes:
     return struct.pack("<" + _header_format(kind), *values)
 
 
+def _check_kmeans_classes(k: int, has_map: int, class_of: np.ndarray) -> None:
+    """Raise ModelIOError unless the model has a cluster and its class bytes
+    are a map a fit can make: no class without a map, else each cluster's
+    class id 1..10 or 0 (unmapped), no class twice. The writer and the
+    reader both check, so no file is saved that cannot be loaded."""
+    if k < 1:
+        raise ModelIOError("a k-means model needs at least one cluster")
+    if has_map not in (0, 1):
+        raise ModelIOError(f"k-means has-map byte must be 0 or 1, got {has_map}")
+    mapped = class_of[class_of != 0]
+    if not has_map and len(mapped):
+        raise ModelIOError("k-means model without a class map gives a cluster a class")
+    outside = mapped[(mapped < 1) | (mapped > N_SIMPLIFIED_CLASSES)]
+    if len(outside):
+        raise ModelIOError(
+            f"k-means cluster class {outside[0]} is outside 1..{N_SIMPLIFIED_CLASSES}"
+        )
+    if len(np.unique(mapped)) < len(mapped):
+        raise ModelIOError("k-means class map gives two clusters the same class")
+
+
 def _kmeans_payload(model: KMeansModel) -> bytes:
     parts = [
         _pack_header(
             KIND_KMEANS, model.k, model.d, model.n_init, model.max_iter, model.seed, model.inertia
         )
     ]
-    class_of = np.zeros(model.k, dtype=np.uint8)  # 0 = unmapped
-    if model.cluster_to_class is not None:
+    has_map = 0 if model.cluster_to_class is None else 1
+    class_of = np.zeros(model.k, dtype=np.int64)  # 0 = unmapped
+    if has_map:
         for cluster, cls in model.cluster_to_class.items():
             class_of[cluster] = cls
-    parts.append(struct.pack("<B", 1 if model.cluster_to_class is not None else 0))
-    parts.append(class_of.tobytes())
+    _check_kmeans_classes(model.k, has_map, class_of)
+    parts.append(struct.pack("<B", has_map))
+    parts.append(class_of.astype(np.uint8).tobytes())
     parts.append(_f32(model.centroids, "k-means centroids"))
     return b"".join(parts)
 
@@ -131,6 +154,7 @@ def _kmeans_from(r: _Reader) -> KMeansModel:
     k, d, n_init, max_iter, seed, inertia = r.unpack(_header_format(KIND_KMEANS))
     (has_map,) = r.unpack("B")
     class_of = r.array("u1", k)
+    _check_kmeans_classes(k, has_map, class_of)
     centroids = _finite(r.array("<f4", k * d), "k-means centroids")
     centroids = centroids.astype(np.float64).reshape(k, d)
     mapping = None
@@ -209,9 +233,18 @@ def _forest_from(r: _Reader) -> ForestModel:
     )
 
 
+def _check_best_epoch(best: int, epochs: int) -> None:
+    """Raise ModelIOError unless best is -1 (none) or an epoch the fit ran."""
+    if not -1 <= best < epochs:
+        raise ModelIOError(
+            f"logreg best_epoch={best} is neither -1 (none) nor an epoch below epochs={epochs}"
+        )
+
+
 def _logreg_payload(model: LogRegModel) -> bytes:
     cfg = model.config
     best = -1 if model.best_epoch is None else model.best_epoch
+    _check_best_epoch(best, cfg.epochs)
     return b"".join(
         [
             _pack_header(
@@ -225,6 +258,7 @@ def _logreg_payload(model: LogRegModel) -> bytes:
 
 def _logreg_from(r: _Reader) -> LogRegModel:
     d, lr, batch, epochs, seed, best = r.unpack(_header_format(KIND_LOGREG))
+    _check_best_epoch(best, epochs)
     weights = _finite(r.array("<f4", d * N_SIMPLIFIED_CLASSES), "logreg weights")
     weights = weights.astype(np.float64).reshape(d, N_SIMPLIFIED_CLASSES)
     bias = _finite(r.array("<f4", N_SIMPLIFIED_CLASSES), "logreg bias").astype(np.float64)

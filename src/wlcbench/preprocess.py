@@ -63,6 +63,11 @@ def check_width(d: int, model_d: int) -> None:
         raise ValueError(f"feature dimension d={d} != model dimension d={model_d}")
 
 
+def index_dtype(n: int) -> type:
+    """The integer type of row ids below n: int32 when it holds them all."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
 def row_blocks(n: int, size: int = ROW_BLOCK) -> Iterator[slice]:
     """Slices of rows 0..n in order, each of ``size`` rows but the last. A
     one-row product takes another BLAS path that can round differently, so
@@ -326,8 +331,7 @@ def training_rows(features: Features, labels: np.ndarray | None = None) -> Train
     if keep is not None and keep.all():
         keep = None
     elif keep is not None:
-        index = np.int32 if len(X) <= np.iinfo(np.int32).max else np.intp
-        rows = np.arange(len(X), dtype=index)[keep]
+        rows = np.arange(len(X), dtype=index_dtype(len(X)))[keep]
     if not len(X) or (rows is not None and not len(rows)):
         raise ValueError("no valid, masked-in, labeled rows to train on")
     for start in range(0, len(X), _FINITE_CHUNK):

@@ -186,32 +186,28 @@ def _squared_norms(X: np.ndarray, center: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _row_terms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-row terms of the distance formula: 2X and the squared row norms."""
-    return 2.0 * X, _squared_norms(X)
-
-
 def _nearest(
-    X: np.ndarray,
-    centroids: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray] | None = None,
+    X: np.ndarray, centroids: np.ndarray, x2: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chunked nearest-centroid search; ties break to the lowest cluster id.
 
     Squared distances are (|x|² - 2x·c) + |c|², clamped at 0, evaluated in
-    place in the one rows×k product of each chunk. ``terms`` is
-    ``_row_terms(X)`` when the caller holds it for all of X (``kmeans_fit``
-    shares it between seedings); otherwise each chunk computes its own.
+    place in the one rows×k product of each chunk. The product is
+    X·(2C)ᵀ, which equals (2X)·Cᵀ bit for bit (doubling is exact), so no
+    doubled copy of X is made. ``x2`` is ``_squared_norms(X)`` when the
+    caller holds it for all of X (``kmeans_fit`` shares it between
+    seedings); otherwise each chunk computes its own.
     """
     n = X.shape[0]
     labels = np.empty(n, dtype=np.int32)
     d2 = np.empty(n, dtype=np.float64)
     c2 = (centroids * centroids).sum(axis=1)
+    twice = 2.0 * centroids.T
     for start in range(0, n, _ASSIGN_CHUNK):
         rows = slice(start, start + _ASSIGN_CHUNK)
-        twice, x2 = _row_terms(X[rows]) if terms is None else (terms[0][rows], terms[1][rows])
-        dist = twice @ centroids.T
-        np.subtract(x2[:, None], dist, out=dist)
+        norms = _squared_norms(X[rows]) if x2 is None else x2[rows]
+        dist = X[rows] @ twice
+        np.subtract(norms[:, None], dist, out=dist)
         dist += c2
         np.maximum(dist, 0.0, out=dist)
         idx = dist.argmin(axis=1)
@@ -238,10 +234,10 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _lloyd(X, centroids, max_iter, terms):
+def _lloyd(X, centroids, max_iter, x2):
     """Lloyd iterations from the given seeding; returns (centroids, inertia, history).
 
-    ``terms`` is ``_row_terms(X)``. Cluster sums come from one weighted
+    ``x2`` is ``_squared_norms(X)``. Cluster sums come from one weighted
     bincount per feature, which adds each cluster's rows in row order, as a
     sequential loop would.
     """
@@ -249,7 +245,7 @@ def _lloyd(X, centroids, max_iter, terms):
     history: list[float] = []
     labels = None
     for _ in range(max_iter):
-        new_labels, d2 = _nearest(X, centroids, terms)
+        new_labels, d2 = _nearest(X, centroids, x2)
         inertia = float(d2.sum())
         if history and inertia > history[-1] * (1.0 + _INERTIA_SLACK) + _INERTIA_SLACK:
             raise AssertionError(
@@ -309,9 +305,9 @@ def kmeans_fit(
     to max_iter iterations; the lowest-inertia run wins (ties to the earliest).
 
     Operates on the valid rows of the feature matrix. Raises if a row is not
-    finite or the data has fewer than k distinct rows. The row norms and 2X
-    of the distance formula are computed once here and shared by every
-    seeding.
+    finite or the data has fewer than k distinct rows. The rows are read
+    into one float64 copy, which every pass reads; the squared row norms of
+    the distance formula are computed once here and shared by every seeding.
     """
     check_k(k)
     if n_init < 1:
@@ -322,13 +318,13 @@ def kmeans_fit(
     if not _has_distinct_rows(X, k):
         raise ValueError(f"fewer than k={k} distinct valid feature rows")
 
-    terms = _row_terms(X)
+    x2 = _squared_norms(X)
     streams = np.random.SeedSequence(seed).spawn(n_init)
     best: tuple[float, int, np.ndarray, tuple[float, ...]] | None = None
     for run, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         centroids = _kmeanspp_init(X, k, rng)
-        centroids, inertia, history = _lloyd(X, centroids, max_iter, terms)
+        centroids, inertia, history = _lloyd(X, centroids, max_iter, x2)
         if best is None or inertia < best[0]:
             best = (inertia, run, centroids, history)
     assert best is not None

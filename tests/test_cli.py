@@ -556,6 +556,41 @@ def test_predict_refuses_a_logreg_model_with_a_nan_bias(split_dir, tmp_path, cap
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.parametrize(
+    "class_bytes, message",
+    [
+        ([], "a k-means model needs at least one cluster"),
+        ([200] + [0] * 8, "k-means cluster class 200 is outside 1..10"),
+        ([3, 0, 0, 0, 3, 0, 0, 0, 0], "k-means class map gives two clusters the same class"),
+    ],
+    ids=["k0", "class200", "repeated"],
+)
+def test_predict_refuses_a_kmeans_model_train_cannot_write(
+    split_dir, tmp_path, capsys, class_bytes, message
+):
+    # k = 0 failed in argmin after the output directory was made, and a
+    # class byte of 200 failed on the first patch with an error naming no
+    # model. The writer refuses both, so the file is the writer's bytes of
+    # a one-cluster model with k (after magic, version and kind), the
+    # has-map byte's followers and the zero centroids patched.
+    one = KMeansModel(
+        centroids=np.zeros((1, 10)), inertia=0.0, cluster_to_class={},
+        seed=0, n_init=1, max_iter=1,
+    )
+    head = bytearray(model_to_bytes(one)[:36])
+    head[7:11] = len(class_bytes).to_bytes(4, "little")
+    path = tmp_path / "bad.wlcm"
+    path.write_bytes(bytes(head) + bytes(class_bytes) + bytes(4 * 10 * len(class_bytes)))
+    code, out, err = run(
+        capsys, "predict", *split_args(split_dir), "--model-file", str(path),
+        "--out", str(tmp_path / "pred"),
+    )
+    assert code == 1
+    assert out == ""
+    assert single_json_error(err)["error"] == message
+    assert not (tmp_path / "pred").exists()
+
+
 def test_kmeans_clusters_are_aligned_on_the_stored_float32_centroids(
     tmp_path, capsys, monkeypatch
 ):

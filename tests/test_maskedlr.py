@@ -18,7 +18,7 @@ from wlcbench.maskedlr import (
     logreg_predict_logits,
     masked_ce_loss,
 )
-from wlcbench.preprocess import FeatureMatrix, training_rows
+from wlcbench.preprocess import ROW_BLOCK, BandRows, FeatureMatrix, training_rows
 
 K = 10
 
@@ -348,6 +348,29 @@ def test_loss_pass_over_row_blocks_keeps_the_bits_of_one_full_data_pass(n):
     assert maskedlr._mean_ce(training_rows(X), y - 1, W, b) == want
 
 
+def test_fit_on_band_rows_holds_a_loss_term_per_row_and_one_block():
+    # README: a logreg fit holds its float32 band rows (the input here) and
+    # 8 B per row of loss terms, next to 1 B per row of label slots. One
+    # block is the float64 rows, logits and exponentials of _Blocks, the
+    # gathered float32 bands and the block's per-row temporaries. Holding
+    # the row order twice through the loss pass took 8 B per row more.
+    rng = np.random.default_rng(7)
+    n, d = 50_000, 10
+    rows = BandRows((rng.random((n, d)) * 1.2e4).astype(np.float32))
+    y = rng.integers(1, K + 1, n).astype(np.uint8)
+    config = LogRegConfig(epochs=2)
+    logreg_fit(BandRows(rows.bands[:100]), y[:100], config=config)  # first-call imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        logreg_fit(rows, y, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = (ROW_BLOCK + 1) * (8 * d + 2 * 8 * K + 4 * d + 64)
+    assert peak - base <= n * (8 + 1) + block
+
+
 def test_fit_scratch_memory_stays_below_its_input():
     rng = np.random.default_rng(7)
     X = rng.random((200_000, 10))
@@ -360,10 +383,10 @@ def test_fit_scratch_memory_stays_below_its_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The fit holds int32 row indices and their shuffled copy, int8 label
-    # slots, one float64 loss term per row and the logits of a 4096-row loss
-    # chunk: about a third of the input. The parent's int64 vectors and
-    # 16384-row chunks took about four fifths.
+    # The fit holds int8 label slots, the int32 shuffled row order while an
+    # epoch descends, one float64 loss term per row while it scores, and
+    # the rows and logits of a 4096-row block: about a quarter of the input.
+    # int64 vectors and 16384-row chunks took about four fifths.
     assert peak - base < 0.4 * X.nbytes
     # several full loss chunks and a tail, summed as in one full-data pass
     assert model.loss_curve == reference_fit(X, y, config).loss_curve

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from wlcbench.maskedlr import LogRegConfig, logreg_fit
+from wlcbench.maskedlr import LogRegConfig, LogRegModel, logreg_fit
 from wlcbench.modelio import (
     KIND_FOREST,
     KIND_KMEANS,
@@ -20,6 +20,7 @@ from wlcbench.modelio import (
 )
 from wlcbench.shallow import (
     ForestModel,
+    KMeansModel,
     Tree,
     align_clusters,
     kmeans_cluster_ids,
@@ -330,3 +331,101 @@ def test_the_largest_float32_is_stored(logreg_model):
     top = float(np.finfo(np.float32).max)
     model = _poisoned(logreg_model[0], "weights", top)
     assert model_from_bytes(model_to_bytes(model)).weights.flat[0] == top
+
+
+def _kmeans(k, cluster_to_class):
+    return KMeansModel(
+        centroids=np.zeros((k, 10)), inertia=0.0, cluster_to_class=cluster_to_class,
+        seed=0, n_init=1, max_iter=1,
+    )
+
+
+def _kmeans_file(class_bytes, has_map=1):
+    """A k-means file of len(class_bytes) zero centroids with these class
+    bytes and has-map byte: the writer's bytes of a one-cluster model with
+    k (after magic, version and kind), the has-map byte (after the 28-byte
+    header) and what follows it patched."""
+    k = len(class_bytes)
+    head = bytearray(model_to_bytes(_kmeans(1, None))[:36])
+    struct.pack_into("<I", head, 7, k)
+    head[35] = has_map
+    return bytes(head) + bytes(class_bytes) + bytes(4 * 10 * k)
+
+
+@pytest.mark.parametrize(
+    "class_bytes, has_map, message",
+    [
+        ([], 1, "a k-means model needs at least one cluster"),
+        ([], 0, "a k-means model needs at least one cluster"),
+        ([200, 0, 0], 1, "k-means cluster class 200 is outside 1..10"),
+        ([11, 0, 1], 1, "k-means cluster class 11 is outside 1..10"),
+        ([4, 0, 4], 1, "k-means class map gives two clusters the same class"),
+        ([4, 0, 0], 2, "k-means has-map byte must be 0 or 1, got 2"),
+        ([4, 0, 0], 255, "k-means has-map byte must be 0 or 1, got 255"),
+        ([4, 0, 0], 0, "k-means model without a class map gives a cluster a class"),
+    ],
+    ids=["k0", "k0-unmapped", "class200", "class11", "repeated", "has-map2", "has-map255",
+         "class-without-map"],
+)
+def test_kmeans_file_the_writer_cannot_produce_is_refused(class_bytes, has_map, message):
+    # a fit has k >= 1 clusters, and align_clusters maps them one to one
+    # onto class ids 1..10
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(_kmeans_file(class_bytes, has_map))
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (_kmeans(0, None), "a k-means model needs at least one cluster"),
+        (_kmeans(0, {}), "a k-means model needs at least one cluster"),
+        (_kmeans(3, {0: 200}), "k-means cluster class 200 is outside 1..10"),
+        (_kmeans(3, {0: 300}), "k-means cluster class 300 is outside 1..10"),
+        (_kmeans(3, {1: -1}), "k-means cluster class -1 is outside 1..10"),
+        (_kmeans(3, {0: 4, 2: 4}), "k-means class map gives two clusters the same class"),
+    ],
+    ids=["k0", "k0-mapped", "class200", "class300", "class-1", "repeated"],
+)
+def test_kmeans_model_the_reader_would_refuse_is_not_written(model, tmp_path, message):
+    with pytest.raises(ModelIOError, match=message):
+        model_to_bytes(model)
+    with pytest.raises(ModelIOError, match=message):
+        save_model(model, tmp_path / "bad.wlcm")
+    assert not (tmp_path / "bad.wlcm").exists()
+
+
+def test_kmeans_partial_and_empty_class_maps_load():
+    assert _kmeans_file([4, 0, 5]) == model_to_bytes(_kmeans(3, {0: 4, 2: 5}))
+    assert _kmeans_file([0, 0, 0], has_map=0) == model_to_bytes(_kmeans(3, None))
+    for mapping in ({}, {1: 10}, {0: 3, 1: 1, 2: 2}):
+        back = model_from_bytes(model_to_bytes(_kmeans(3, mapping)))
+        assert back.cluster_to_class == mapping
+
+
+def _logreg(epochs, best):
+    return LogRegModel(
+        weights=np.zeros((10, 10)), bias=np.zeros(10), config=LogRegConfig(epochs=epochs),
+        best_epoch=None if best == -1 else best,
+    )
+
+
+@pytest.mark.parametrize(
+    "epochs, best, ok",
+    [(3, -2, False), (3, -1, True), (3, 0, True), (3, 2, True), (3, 3, False),
+     (0, -1, True), (0, 0, False)],
+)
+def test_logreg_best_epoch_must_be_none_or_a_trained_epoch(epochs, best, ok):
+    blob = bytearray(model_to_bytes(_logreg(epochs, -1)))
+    # best_epoch (i32) ends the 28-byte header that follows magic, version
+    # and kind (7 bytes)
+    assert struct.unpack_from("<i", blob, 31) == (-1,)
+    struct.pack_into("<i", blob, 31, best)
+    if ok:
+        assert bytes(blob) == model_to_bytes(_logreg(epochs, best))
+        assert model_from_bytes(bytes(blob)).best_epoch == (None if best == -1 else best)
+        return
+    message = f"best_epoch={best} is neither -1"
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(bytes(blob))
+    with pytest.raises(ModelIOError, match=message):
+        model_to_bytes(_logreg(epochs, best))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import sys
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from wlcbench.preprocess import FeatureMatrix
+from wlcbench.preprocess import BandRows, FeatureMatrix, feature_rows, normalize_bands
 from wlcbench.shallow import (
     ForestModel,
     KMeansModel,
@@ -26,7 +27,7 @@ from wlcbench.shallow import (
     rf_predict_proba,
 )
 from wlcbench import shallow
-from wlcbench.shallow import _lloyd, _row_terms, _stable_order
+from wlcbench.shallow import _lloyd, _squared_norms, _stable_order
 import kmeans_reference
 from kmeans_reference import reference_kmeans, reference_lloyd, reference_nearest
 from rf_reference import reference_proba, reference_trees, tree_apply
@@ -293,12 +294,12 @@ def test_lloyd_relocates_empty_clusters_to_the_farthest_rows():
     # empty. Row 5 (30.0) is farthest from its centroid (10.5), row 2 (2.0)
     # next (from 0.5).
     seeding = np.array([[0.5], [10.5], [1000.0], [2000.0]])
-    centroids, _, _ = _lloyd(X, seeding[:3], 1, _row_terms(X))
+    centroids, _, _ = _lloyd(X, seeding[:3], 1, _squared_norms(X))
     np.testing.assert_array_equal(centroids, [[1.0], [17.0], [30.0]])
-    centroids, _, _ = _lloyd(X, seeding, 1, _row_terms(X))
+    centroids, _, _ = _lloyd(X, seeding, 1, _squared_norms(X))
     np.testing.assert_array_equal(centroids, [[1.0], [17.0], [30.0], [2.0]])
     for init in (seeding[:3], seeding):
-        got = _lloyd(X, init, 300, _row_terms(X))
+        got = _lloyd(X, init, 300, _squared_norms(X))
         want = reference_lloyd(X, init, 300)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
@@ -737,11 +738,11 @@ def test_rf_fit_scratch_memory_stays_within_three_inputs():
 
 
 def test_kmeans_fit_scratch_memory_stays_within_three_inputs():
-    # Every row is selected, so the fit works on the input itself: 2X and
-    # the row norms of the distance formula (one input) and a Lloyd pass's
-    # distance block, labels and sums. The distinct-row check sorts a
-    # 4096-row prefix, and the seeding and row norms work in row blocks.
-    # Sorting a full copy for the check took the peak to 2.53 inputs.
+    # Every row is selected, so the fit works on the input itself: the row
+    # norms of the distance formula and a Lloyd pass's distance block,
+    # labels and sums. The distinct-row check sorts a 4096-row prefix, and
+    # the seeding and row norms work in row blocks. Sorting a full copy for
+    # the check took the peak to 2.53 inputs.
     rng = np.random.default_rng(7)
     X = rng.random((50_000, 12))
     tracemalloc.start()
@@ -752,6 +753,30 @@ def test_kmeans_fit_scratch_memory_stays_within_three_inputs():
     finally:
         tracemalloc.stop()
     assert peak - base < 2.25 * X.nbytes
+
+
+def test_kmeans_fit_on_band_rows_holds_one_float64_copy_and_one_block():
+    # README: a k-means fit holds its float32 band rows (the input here) and
+    # the one float64 copy the Lloyd passes read, 8 B per value. Per row it
+    # holds the squared norms, and the cluster ids and distances of the last
+    # pass and the running one. One block is a distance block of up to
+    # _ASSIGN_CHUNK rows with its argmin ids, the distances they pick and
+    # those picks' row ids. Holding 2X of the distance formula took 8 B per
+    # value more.
+    rng = np.random.default_rng(7)
+    n, d, k = 50_000, 10, 3
+    rows = BandRows((rng.random((n, d)) * 1.2e4).astype(np.float32))
+    kmeans_fit(BandRows(rows.bands[:100]), k, n_init=1, seed=0)  # first-call imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        kmeans_fit(rows, k, n_init=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_row = 8 + 2 * (4 + 8)
+    block = min(n, shallow._ASSIGN_CHUNK) * (8 * k + 3 * 8)
+    assert peak - base <= n * d * 8 + n * per_row + block + (1 << 18)
 
 
 @settings(max_examples=200, deadline=None)
@@ -867,8 +892,39 @@ def test_lloyd_matches_the_add_at_reference_from_any_seeding(X, data, max_iter):
         data.draw(st.lists(st.lists(levels, min_size=X.shape[1], max_size=X.shape[1]),
                            min_size=k, max_size=k), label="seeding")
     )
-    got = _lloyd(X, seeding, max_iter, _row_terms(X))
+    got = _lloyd(X, seeding, max_iter, _squared_norms(X))
     _same_fit(got, reference_lloyd(X, seeding, max_iter))
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_kmeans_cluster_ids_on_band_rows_match_the_whole_normalized_rows(n):
+    # sizes at the edges of 4096-row blocks (the squared row norms' and
+    # predict's): one partial block, one full block, a one-row tail, and
+    # two full blocks with such a tail
+    rng = np.random.default_rng(n)
+    bands = np.hstack([rng.uniform(-1e3, 1.2e4, (n, 10)), rng.uniform(-30, 5, (n, 2))])
+    rows = BandRows(bands.astype(np.float32))
+    model = KMeansModel(
+        centroids=rng.random((7, 12)), inertia=0.0, cluster_to_class=None,
+        seed=0, n_init=1, max_iter=1,
+    )
+    want = kmeans_cluster_ids(model, normalize_bands(rows.bands))
+    got = kmeans_cluster_ids(model, rows)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bands", [np.zeros((5, 11)), np.zeros(12)])
+def test_kmeans_cluster_ids_refuse_band_rows_as_feature_rows_does(bands):
+    model = KMeansModel(
+        centroids=np.zeros((2, 12)), inertia=0.0, cluster_to_class=None,
+        seed=0, n_init=1, max_iter=1,
+    )
+    rows = BandRows(bands.astype(np.float32))
+    with pytest.raises(ValueError) as want:
+        feature_rows(rows, model.d)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        kmeans_cluster_ids(model, rows)
 
 
 def test_kmeans_cluster_ids_match_the_reference_across_chunks(rng, monkeypatch):
