@@ -44,9 +44,8 @@ align_mask = feats.valid_mask & keep
 
 def fit_and_score(k):
     model = kmeans_fit(feats.with_mask(keep), k, seed=0)
-    model.cluster_to_class = align_clusters(
-        kmeans_cluster_ids(model, feats), weak, mask=align_mask
-    )
+    ids = kmeans_cluster_ids(model, feats)
+    model.cluster_to_class = align_clusters(ids[align_mask], weak[align_mask])
     cm = ConfusionMatrix.zero()
     for p in test:
         pred = kmeans_predict(model, assemble_features(p, fusion))
@@ -58,7 +57,7 @@ def fit_and_score(k):
     return model, report(cm)
 
 
-k_weak = default_k(weak, keep)
+k_weak = default_k(weak[keep])
 print(f"{feats.n_rows} pixels, {int(align_mask.sum())} trainable after the Savanna mask")
 print(f"distinct classes in the weak labels: {k_weak} "
       f"(the generator only used {len(cfg.class_ids)}; flips forged the rest)\n")

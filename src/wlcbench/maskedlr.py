@@ -32,10 +32,6 @@ from .preprocess import (
     training_rows,
 )
 
-# Rows per logit product in the epoch loss pass; a multiple of 64, so the
-# loss curve keeps the bits of one full-data pass (see ROW_BLOCK).
-_LOSS_CHUNK = ROW_BLOCK
-
 
 @dataclass(frozen=True)
 class LogRegConfig:
@@ -155,14 +151,14 @@ def _mean_ce(
 ) -> float:
     """Mean cross-entropy of the model (W, b) over the training rows, whose
     0-based label slots are y0, with no gradient. The logits are formed
-    over the row_blocks of _LOSS_CHUNK rows and each row's term is kept in
+    over the row_blocks of ROW_BLOCK rows and each row's term is kept in
     one vector, which is then summed once: the same values and the same sum
     as one full-data pass."""
     n = len(rows)
     if blocks is None:
-        blocks = _Blocks(min(n, _LOSS_CHUNK + 1), rows.d)
+        blocks = _Blocks(min(n, ROW_BLOCK + 1), rows.d)
     terms = np.empty(n)
-    for block in row_blocks(n, _LOSS_CHUNK):
+    for block in row_blocks(n, ROW_BLOCK):
         _, logp = blocks.log_probs(rows, block, block.stop - block.start, W, b)
         terms[block] = _ce_terms(logp, y0[block])
     return float(-terms.sum() / n)
@@ -180,7 +176,7 @@ def logreg_fit(
     The effective training mask is the feature validity mask AND label != 0.
     Rows are reshuffled each epoch from one derived generator. The recorded
     loss curve holds the full-data masked loss after each epoch; that pass
-    computes no gradient and holds the logits of at most _LOSS_CHUNK + 1
+    computes no gradient and holds the logits of at most ROW_BLOCK + 1
     rows at a time. When a holdout (features, labels) pair is given, it
     passes the same checks as the training input plus the model width,
     per-class mean accuracy on its valid, labeled rows is tracked after each
@@ -206,7 +202,7 @@ def logreg_fit(
             raise ValueError(f"holdout: {exc}") from None
         ho = (ho_rows.all(), ho_rows.select(np.asarray(ho_labels).ravel()).astype(np.int64))
 
-    blocks = _Blocks(max(min(config.batch_size, n), min(_LOSS_CHUNK + 1, n)), d)
+    blocks = _Blocks(max(min(config.batch_size, n), min(ROW_BLOCK + 1, n)), d)
     loss_curve: list[float] = []
     holdout_curve: list[float] = []
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
@@ -260,10 +256,6 @@ def _mean_class_accuracy(reference: np.ndarray, prediction: np.ndarray) -> float
     return float(np.mean(accs))
 
 
-def logreg_predict_logits(model: LogRegModel, features: Features) -> np.ndarray:
-    return feature_rows(features, model.d) @ model.weights + model.bias
-
-
 def logreg_predict(
     model: LogRegModel,
     features: Features,
@@ -274,7 +266,7 @@ def logreg_predict(
     are meaningless)."""
     if len(exclude_classes) >= N_SIMPLIFIED_CLASSES:
         raise ValueError("cannot exclude every class")
-    logits = logreg_predict_logits(model, features)
+    logits = feature_rows(features, model.d) @ model.weights + model.bias
     for cls in exclude_classes:
         if not 1 <= cls <= N_SIMPLIFIED_CLASSES:
             raise ValueError(f"excluded class id {cls} outside 1..{N_SIMPLIFIED_CLASSES}")

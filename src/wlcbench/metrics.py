@@ -33,10 +33,6 @@ class ConfusionMatrix:
             raise ValueError("confusion counts must be non-negative")
         self.counts = c
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return ConfusionMatrix(self.counts + other.counts)
 

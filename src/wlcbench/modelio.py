@@ -171,10 +171,13 @@ def _kmeans_from(r: _Reader) -> KMeansModel:
 
 
 def _forest_payload(model: ForestModel) -> bytes:
+    if not model.trees:
+        raise ModelIOError("a forest needs at least one tree")
     parts = [
         _pack_header(KIND_FOREST, model.n_trees, model.max_depth, model.n_features, model.seed)
     ]
     for t, tree in enumerate(model.trees):
+        _check_tree(t, tree.feature, tree.left, tree.right, model.n_features)
         parts.append(struct.pack("<I", tree.n_nodes))
         parts.append(np.ascontiguousarray(tree.feature, dtype="<i2").tobytes())
         parts.append(_f32(tree.threshold, f"tree {t}'s split thresholds"))
@@ -187,7 +190,8 @@ def _forest_payload(model: ForestModel) -> bytes:
 def _check_tree(t: int, feature, left, right, n_features: int) -> None:
     """Raise ModelIOError unless tree t is a binary tree numbered in
     pre-order, with leaves marked by feature -1 and links -1, so routing
-    ends at a leaf of the same tree after at most n_nodes - 1 steps."""
+    ends at a leaf of the same tree after at most n_nodes - 1 steps. The
+    writer and the reader both check."""
     n = len(feature)
     if n < 1:
         raise ModelIOError(f"tree {t} has no nodes")
@@ -224,13 +228,7 @@ def _forest_from(r: _Reader) -> ForestModel:
         trees.append(
             Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
         )
-    return ForestModel(
-        trees=tuple(trees),
-        n_trees=n_trees,
-        max_depth=max_depth,
-        n_features=n_features,
-        seed=seed,
-    )
+    return ForestModel(trees=tuple(trees), max_depth=max_depth, n_features=n_features, seed=seed)
 
 
 def _check_best_epoch(best: int, epochs: int) -> None:

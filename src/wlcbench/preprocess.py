@@ -27,12 +27,11 @@ S1_CLIP = (-25.0, 0.0)
 S2_CLIP = (0.0, 1.0e4)
 _DROPPED_ATMOSPHERIC = ("B1", "B9", "B10")
 _N_SURFACE = len(S2_SURFACE_BANDS)
-# Rows per finiteness check in training_rows; bounds its boolean scratch.
-_FINITE_CHUNK = 65536
 # Rows per block of a blocked pass (row_blocks). At multiples of 64 the rows
 # of a blocked product matched one whole-matrix product bit for bit on
 # OpenBLAS (the whole-pass references in the tests are the check), so the
 # logreg loss curve and predict's labels keep the bits of whole-matrix passes.
+# The other blocked passes work row by row, so no block size moves a bit.
 ROW_BLOCK = 4096
 
 
@@ -145,18 +144,6 @@ def _surface_band_indices(s2: BandStack) -> list[int]:
         f"cannot select surface bands: missing {missing or 'none'}, "
         f"unknown {unknown or 'none'}"
     )
-
-
-def select_surface_bands(s2: BandStack) -> BandStack:
-    """Drop the atmospheric bands B1, B9, B10, preserving the remaining order.
-
-    A stack already restricted to the ten surface bands passes through
-    unchanged.
-    """
-    if s2.band_names == S2_SURFACE_BANDS:
-        return s2
-    keep = _surface_band_indices(s2)
-    return BandStack(s2.values[keep], tuple(s2.band_names[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -334,10 +321,9 @@ def training_rows(features: Features, labels: np.ndarray | None = None) -> Train
         rows = np.arange(len(X), dtype=index_dtype(len(X)))[keep]
     if not len(X) or (rows is not None and not len(rows)):
         raise ValueError("no valid, masked-in, labeled rows to train on")
-    for start in range(0, len(X), _FINITE_CHUNK):
-        stop = start + _FINITE_CHUNK
-        finite = np.isfinite(X[start:stop]).all(axis=1)
-        if not (finite if keep is None else finite[keep[start:stop]]).all():
+    for block in row_blocks(len(X), ROW_BLOCK):
+        finite = np.isfinite(X[block]).all(axis=1)
+        if not (finite if keep is None else finite[keep[block]]).all():
             raise ValueError("training features must be finite (no NaN or inf)")
     return TrainingRows(X, rows, isinstance(features, BandRows))
 

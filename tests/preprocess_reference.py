@@ -11,15 +11,18 @@ fusion.
 
 import numpy as np
 
-from wlcbench.preprocess import FeatureMatrix, FusionMode, select_surface_bands
+from wlcbench.preprocess import FeatureMatrix, FusionMode
+
+# the S2 bands kept as features, in feature column order (B1, B9, B10 dropped)
+SURFACE = ("B2", "B3", "B4", "B5", "B6", "B7", "B8", "B8A", "B11", "B12")
 
 
 def reference_assemble_features(patch, config):
-    surface = select_surface_bands(patch.s2)
-    h, w = surface.shape
-    n = h * w
+    names = list(patch.s2.band_names)
+    surface = np.stack([patch.s2.values[names.index(band)] for band in SURFACE])
+    n = patch.height * patch.width
 
-    planes = [surface.values.reshape(10, n).astype(np.float64)]
+    planes = [surface.reshape(10, n).astype(np.float64)]
     if config.mode is FusionMode.S1_PLUS_S2:
         if patch.s1 is None:
             raise ValueError(f"patch {patch.id!r} has no S1 stack but fusion requires it")

@@ -15,7 +15,6 @@ from wlcbench.maskedlr import (
     LogRegModel,
     logreg_fit,
     logreg_predict,
-    logreg_predict_logits,
     masked_ce_loss,
 )
 from wlcbench.preprocess import ROW_BLOCK, BandRows, FeatureMatrix, training_rows
@@ -291,7 +290,7 @@ def fit_inputs(draw):
     epochs=st.integers(1, 3),
     learning_rate=st.sampled_from([0.1, 1.0, 5.0]),
     seed=st.integers(0, 2**32 - 1),
-    chunk=st.sampled_from([64, 128, maskedlr._LOSS_CHUNK]),
+    chunk=st.sampled_from([64, 128, ROW_BLOCK]),
 )
 @example(
     data=(np.linspace(0, 1, 4097)[:, None], np.arange(4097) % 10 + 1, None),
@@ -304,7 +303,7 @@ def test_fit_matches_the_full_gradient_reference_bitwise(
     config = LogRegConfig(
         learning_rate=learning_rate, batch_size=batch_size, epochs=epochs, seed=seed
     )
-    with mock.patch.object(maskedlr, "_LOSS_CHUNK", chunk):
+    with mock.patch.object(maskedlr, "ROW_BLOCK", chunk):
         got = logreg_fit(features, y, config=config, holdout=holdout)
     want = reference_fit(features, y, config, holdout=holdout)
     assert got.weights.tobytes() == want.weights.tobytes()
@@ -329,7 +328,7 @@ def test_loss_pass_keeps_a_one_row_tail_in_the_chunk_before_it(chunk):
         y = logits.argmax(axis=1) + 1
         y[-1] = logits[-1].argmin() + 1
         want, _ = reference_masked_ce_loss(logits, y, np.ones(n, bool))
-        with mock.patch.object(maskedlr, "_LOSS_CHUNK", chunk):
+        with mock.patch.object(maskedlr, "ROW_BLOCK", chunk):
             got = maskedlr._mean_ce(training_rows(X), y - 1, W, b)
         assert got == want
 
@@ -506,7 +505,7 @@ def test_predict_tie_breaks_to_lowest_id():
 def test_predict_validation(rng):
     model = manual_model(np.zeros((2, K)), np.zeros(K))
     with pytest.raises(ValueError, match="dimension"):
-        logreg_predict_logits(model, rng.random((4, 3)))
+        logreg_predict(model, rng.random((4, 3)))
     with pytest.raises(ValueError, match="every class"):
         logreg_predict(model, np.zeros((1, 2)), exclude_classes=frozenset(range(1, 11)))
     with pytest.raises(ValueError, match="outside"):

@@ -31,17 +31,33 @@ from wlcbench.shallow import (
 )
 
 
-def forest_bytes(feature, left, right, n_features=12):
-    """A one-tree forest file with the given node links, written unchecked."""
+def hand_tree(feature, left, right):
+    """A tree with the given node links, every node's probabilities 0.1."""
     n = len(feature)
-    tree = Tree(
+    return Tree(
         feature=np.array(feature, dtype=np.int16),
         threshold=np.zeros(n),
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         probs=np.full((n, 10), 0.1),
     )
-    return model_to_bytes(ForestModel((tree,), 1, 1, n_features, 0))
+
+
+def forest_bytes(feature, left, right, n_features=12):
+    """A one-tree forest file with the given node links, which the writer
+    would refuse if they are malformed: a one-leaf forest's header (magic,
+    version, kind and 20 header bytes), then the tree laid out as the
+    writer lays it out."""
+    tree = hand_tree(feature, left, right)
+    leaf = ForestModel((hand_tree([-1], [-1], [-1]),), 1, n_features, 0)
+    return model_to_bytes(leaf)[:27] + b"".join([
+        struct.pack("<I", tree.n_nodes),
+        tree.feature.astype("<i2").tobytes(),
+        tree.threshold.astype("<f4").tobytes(),
+        tree.left.astype("<i4").tobytes(),
+        tree.right.astype("<i4").tobytes(),
+        tree.probs.astype("<f4").tobytes(),
+    ])
 
 
 def f32(x):
@@ -236,12 +252,30 @@ def test_well_formed_hand_built_forest_loads():
 def test_malformed_forest_structure_rejected(feature, left, right, message):
     with pytest.raises(ModelIOError, match=message):
         model_from_bytes(forest_bytes(feature, left, right))
+    # the writer refuses what the reader refuses, so no such file is saved
+    with pytest.raises(ModelIOError, match=message):
+        model_to_bytes(ForestModel((hand_tree(feature, left, right),), 1, 12, 0))
 
 
-def test_forest_without_trees_rejected():
-    blob = model_to_bytes(ForestModel((), 0, 1, 12, 0))
+def test_forest_without_trees_rejected(forest_model):
+    blob = bytearray(model_to_bytes(forest_model[0])[:27])
+    struct.pack_into("<I", blob, 7, 0)  # n_trees, the first header field
     with pytest.raises(ModelIOError, match="at least one tree"):
-        model_from_bytes(blob)
+        model_from_bytes(bytes(blob))
+
+
+def test_forest_writer_refuses_a_forest_the_reader_would(forest_model):
+    model = forest_model[0]  # three trees that split on features 0..2
+    with pytest.raises(ModelIOError, match="at least one tree"):
+        model_to_bytes(dataclasses.replace(model, trees=()))
+    with pytest.raises(ModelIOError, match=r"splits on a feature outside -1\.\.0"):
+        model_to_bytes(dataclasses.replace(model, n_features=1))
+    # the tree count is the number of trees, so a file cannot disagree with it
+    fewer = dataclasses.replace(model, trees=model.trees[:2])
+    back = model_from_bytes(model_to_bytes(fewer))
+    assert fewer.n_trees == back.n_trees == 2
+    X = forest_model[1]
+    np.testing.assert_array_equal(rf_predict(back, X), rf_predict(fewer, X))
 
 
 def _poisoned(model, field, value):

@@ -23,7 +23,6 @@ from wlcbench.preprocess import (
     normalize_bands,
     normalize_s1,
     normalize_s2,
-    select_surface_bands,
     training_rows,
 )
 from wlcbench.maskedlr import LogRegConfig, logreg_fit
@@ -90,32 +89,6 @@ def test_normalization_preserves_shape(rng):
     x = rng.uniform(-30, 5, (3, 4, 5))
     assert normalize_s1(x).shape == (3, 4, 5)
     assert isinstance(normalize_s1(-10.0), float)
-
-
-# --- surface band selection ----------------------------------------------
-
-def test_select_surface_drops_atmospheric_bands():
-    values = np.arange(13, dtype=np.float32).reshape(13, 1, 1)
-    stack = BandStack(values, S2_ALL_BANDS)
-    out = select_surface_bands(stack)
-    assert out.band_names == S2_SURFACE_BANDS
-    # B1 (index 0), B9 (index 9), B10 (index 10) removed
-    np.testing.assert_array_equal(
-        out.values[:, 0, 0], [1, 2, 3, 4, 5, 6, 7, 8, 11, 12]
-    )
-
-
-def test_select_surface_passthrough_when_already_selected():
-    stack = BandStack(np.zeros((10, 2, 2), dtype=np.float32), S2_SURFACE_BANDS)
-    assert select_surface_bands(stack) is stack
-
-
-def test_select_surface_rejects_unknown_band_set():
-    stack = BandStack(
-        np.zeros((3, 1, 1), dtype=np.float32), ("S2_1", "S2_2", "S2_3")
-    )
-    with pytest.raises(ValueError, match="surface bands"):
-        select_surface_bands(stack)
 
 
 # --- fusion config --------------------------------------------------------
@@ -189,6 +162,9 @@ def test_non_finite_band_masks_row_but_values_stay_finite():
 def test_fusion_requires_s1():
     with pytest.raises(ValueError, match="no S1"):
         assemble_features(make_patch([[1]]), FusionConfig.from_string("s1s2"))
+    # three bands named S2_1..S2_3 are neither the ten surface bands nor all 13
+    with pytest.raises(ValueError, match="cannot select surface bands"):
+        assemble_features(make_patch([[1]], s2=np.zeros((3, 1, 1))), FusionConfig())
 
 
 def test_thirteen_band_input_is_reduced():
@@ -410,7 +386,7 @@ def test_training_rows_filters():
 def test_training_rows_checks_finiteness_in_every_chunk():
     X = np.zeros((10, 2))
     X[9, 1] = np.nan
-    with mock.patch.object(preprocess, "_FINITE_CHUNK", 4):
+    with mock.patch.object(preprocess, "ROW_BLOCK", 4):
         with pytest.raises(ValueError, match="must be finite"):
             training_rows(X)
         rows = training_rows(FeatureMatrix(X, np.arange(10) != 9))

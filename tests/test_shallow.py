@@ -195,12 +195,6 @@ def test_align_ignores_nodata_reference():
     assert mapping[1] == 5
 
 
-def test_align_respects_mask():
-    clusters = np.array([0, 0, 0])
-    classes = np.array([4, 9, 9], dtype=np.uint8)
-    assert align_clusters(clusters, classes, mask=[True, False, False]) == {0: 4}
-
-
 def test_align_errors_without_valid_pixels():
     with pytest.raises(ValueError, match="no valid"):
         align_clusters(np.array([0]), np.array([0], dtype=np.uint8))
@@ -209,17 +203,8 @@ def test_align_errors_without_valid_pixels():
 def test_default_k():
     assert default_k(np.array([0, 1, 1, 4])) == 2
     assert default_k(np.array([3, 3, 3])) == 1
-    assert default_k(np.array([0, 1, 4]), mask=[True, True, False]) == 1
     with pytest.raises(ValueError):
         default_k(np.array([0, 0]))
-
-
-def test_label_masks_must_have_one_entry_per_label():
-    # a one-entry mask would broadcast over every label
-    with pytest.raises(ValueError, match="mask length 1 != labels length 4"):
-        default_k(np.array([1, 2, 3, 1]), mask=np.array([True]))
-    with pytest.raises(ValueError, match="mask length 1 != labels length 3"):
-        align_clusters(np.array([0, 1, 1]), np.array([4, 9, 9]), mask=[True])
 
 
 # --- k-means -----------------------------------------------------------------
@@ -437,7 +422,7 @@ def uneven_forest(rng):
     trees = [
         rf_fit(X, y, n_trees=1, max_depth=depth, seed=depth).trees[0] for depth in (6, 0, 2, 9)
     ]
-    return ForestModel(tuple(trees), 4, 9, 3, 0)
+    return ForestModel(tuple(trees), 9, 3, 0)
 
 
 def test_node_table_depth_is_the_deepest_tree(uneven_forest):
@@ -448,7 +433,8 @@ def test_node_table_depth_is_the_deepest_tree(uneven_forest):
 
 @pytest.mark.parametrize(
     "n_rows",
-    [0, 300, shallow._ROUTE_CHUNK - 1, shallow._ROUTE_CHUNK, shallow._ROUTE_CHUNK + 1],
+    # a one-row tail joins the block before it; two rows past a block start another
+    [0, 300, *(shallow.ROW_BLOCK + extra for extra in (-1, 0, 1, 2))],
 )
 def test_rf_proba_matches_the_reference_with_nan_and_infinities(
     uneven_forest, rng, n_rows
@@ -477,7 +463,7 @@ def test_replaced_forest_gets_its_own_node_table(uneven_forest, rng):
     assert uneven_forest.nodes is table
     with pytest.raises(dataclasses.FrozenInstanceError):
         uneven_forest.trees = uneven_forest.trees[:1]
-    fewer = dataclasses.replace(uneven_forest, trees=uneven_forest.trees[2:], n_trees=2)
+    fewer = dataclasses.replace(uneven_forest, trees=uneven_forest.trees[2:])
     assert fewer.nodes is not table
     assert len(fewer.nodes.roots) == 2
     Q = rng.random((50, 3))
@@ -519,7 +505,6 @@ def test_rf_tie_breaks_to_lowest_class():
     one_hot = lambda c: np.eye(10)[c - 1]
     model = ForestModel(
         trees=(leaf(one_hot(4)), leaf(one_hot(9))),
-        n_trees=2,
         max_depth=0,
         n_features=1,
         seed=0,
@@ -593,7 +578,7 @@ def test_rf_grows_trees_deeper_than_the_recursion_limit():
     y = np.repeat(1 + np.arange(groups) % 2, 30)
     (tree,) = rf_fit(X, y, n_trees=1, max_depth=10 * groups, seed=0).trees
     assert tree_depth(tree) > sys.getrecursionlimit()
-    np.testing.assert_array_equal(rf_predict(ForestModel((tree,), 1, 0, 1, 0), X), y)
+    np.testing.assert_array_equal(rf_predict(ForestModel((tree,), 0, 1, 0), X), y)
 
 
 def test_stable_order_matches_stable_argsort(rng):
@@ -873,7 +858,7 @@ def test_kmeans_fit_matches_the_add_at_reference(X, data, n_init, max_iter, seed
     k = data.draw(st.integers(1, len(np.unique(X, axis=0))), label="k")
     with mock.patch.object(shallow, "_ASSIGN_CHUNK", chunk), mock.patch.object(
         kmeans_reference, "ASSIGN_CHUNK", chunk
-    ), mock.patch.object(shallow, "_NORM_CHUNK", chunk), mock.patch.object(
+    ), mock.patch.object(shallow, "ROW_BLOCK", chunk), mock.patch.object(
         shallow, "_DISTINCT_PREFIX", chunk
     ):
         model = kmeans_fit(X, k, n_init=n_init, max_iter=max_iter, seed=seed)

@@ -316,11 +316,12 @@ def test_train_writes_the_bytes_of_a_fit_on_float64_features(mixed_split, tmp_pa
         centroids = centroids.astype(np.float32).astype(np.float64)
         clusters, _ = reference_nearest(feats.values, centroids)
         want = KMeansModel(centroids, inertia, None, 2, 10, 300, history)
-        want.cluster_to_class = shallow.align_clusters(clusters, labels, feats.valid_mask)
+        valid = feats.valid_mask
+        want.cluster_to_class = shallow.align_clusters(clusters[valid], labels[valid])
         curve = "iteration,inertia\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(history))
     elif model == "rf":
         trees = reference_trees(feats.values[rows], labels[rows], 3, 6, 4)
-        want = ForestModel(tuple(Tree(*t) for t in trees), 3, 6, 12, 4)
+        want = ForestModel(tuple(Tree(*t) for t in trees), 6, 12, 4)
         curve = "tree,n_nodes\n" + "".join(f"{i},{t.n_nodes}\n" for i, t in enumerate(want.trees))
     else:
         want = reference_fit(feats, labels, LogRegConfig(learning_rate=1.0, epochs=3, seed=5))
