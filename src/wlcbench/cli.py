@@ -9,9 +9,9 @@ exit 1 for data and runtime errors.
 from __future__ import annotations
 
 if __name__ == "__main__":  # ``python -m wlcbench.cli``: set before numpy loads
-    from .entry import one_blas_thread
+    from .entry import prepare_process
 
-    one_blas_thread()
+    prepare_process()
 
 import argparse
 import dataclasses

@@ -146,7 +146,7 @@ def _kmeans_payload(model: KMeansModel) -> bytes:
     _check_kmeans_classes(model.k, has_map, class_of)
     parts.append(struct.pack("<B", has_map))
     parts.append(class_of.astype(np.uint8).tobytes())
-    parts.append(_f32(model.centroids, "k-means centroids"))
+    parts.append(_f32(_finite(model.centroids, "k-means centroids"), "k-means centroids"))
     return b"".join(parts)
 
 
@@ -177,7 +177,7 @@ def _forest_payload(model: ForestModel) -> bytes:
         _pack_header(KIND_FOREST, model.n_trees, model.max_depth, model.n_features, model.seed)
     ]
     for t, tree in enumerate(model.trees):
-        _check_tree(t, tree.feature, tree.left, tree.right, model.n_features)
+        _check_tree(t, tree, model.n_features)
         parts.append(struct.pack("<I", tree.n_nodes))
         parts.append(np.ascontiguousarray(tree.feature, dtype="<i2").tobytes())
         parts.append(_f32(tree.threshold, f"tree {t}'s split thresholds"))
@@ -187,14 +187,22 @@ def _forest_payload(model: ForestModel) -> bytes:
     return b"".join(parts)
 
 
-def _check_tree(t: int, feature, left, right, n_features: int) -> None:
+def _check_tree(t: int, tree: Tree, n_features: int) -> None:
     """Raise ModelIOError unless tree t is a binary tree numbered in
     pre-order, with leaves marked by feature -1 and links -1, so routing
-    ends at a leaf of the same tree after at most n_nodes - 1 steps. The
-    writer and the reader both check."""
+    ends at a leaf of the same tree after at most n_nodes - 1 steps, and
+    its inner thresholds and leaf probabilities are finite. The writer and
+    the reader both check."""
+    feature, left, right = tree.feature, tree.left, tree.right
     n = len(feature)
     if n < 1:
         raise ModelIOError(f"tree {t} has no nodes")
+    lengths = (len(tree.threshold), len(left), len(right))
+    if lengths != (n, n, n) or tree.probs.shape != (n, N_SIMPLIFIED_CLASSES):
+        raise ModelIOError(
+            f"tree {t} needs {n} thresholds, left and right links and "
+            f"{n}x{N_SIMPLIFIED_CLASSES} probabilities, one per node"
+        )
     if feature.min() < -1 or feature.max() >= n_features:
         raise ModelIOError(f"tree {t} splits on a feature outside -1..{n_features - 1}")
     leaf = feature < 0
@@ -206,6 +214,8 @@ def _check_tree(t: int, feature, left, right, n_features: int) -> None:
         raise ModelIOError(f"tree {t} links a node to a child outside (node, {n})")
     if (np.bincount(kids, minlength=n)[1:] != 1).any():
         raise ModelIOError(f"tree {t} has a non-root node without exactly one parent")
+    _finite(tree.threshold[inner], f"tree {t}'s split thresholds")
+    _finite(tree.probs[leaf], f"tree {t}'s leaf probabilities")
 
 
 def _forest_from(r: _Reader) -> ForestModel:
@@ -219,15 +229,13 @@ def _forest_from(r: _Reader) -> ForestModel:
         threshold = r.array("<f4", n_nodes).astype(np.float64)
         left = r.array("<i4", n_nodes).copy()
         right = r.array("<i4", n_nodes).copy()
-        _check_tree(t, feature, left, right, n_features)
         probs = r.array("<f4", n_nodes * N_SIMPLIFIED_CLASSES).astype(np.float64)
-        probs = probs.reshape(n_nodes, N_SIMPLIFIED_CLASSES)
-        leaf = feature < 0
-        _finite(threshold[~leaf], f"tree {t}'s split thresholds")
-        _finite(probs[leaf], f"tree {t}'s leaf probabilities")
-        trees.append(
-            Tree(feature=feature, threshold=threshold, left=left, right=right, probs=probs)
+        tree = Tree(
+            feature=feature, threshold=threshold, left=left, right=right,
+            probs=probs.reshape(n_nodes, N_SIMPLIFIED_CLASSES),
         )
+        _check_tree(t, tree, n_features)
+        trees.append(tree)
     return ForestModel(trees=tuple(trees), max_depth=max_depth, n_features=n_features, seed=seed)
 
 
@@ -248,8 +256,8 @@ def _logreg_payload(model: LogRegModel) -> bytes:
             _pack_header(
                 KIND_LOGREG, model.d, cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed, best
             ),
-            _f32(model.weights, "logreg weights"),
-            _f32(model.bias, "logreg bias"),
+            _f32(_finite(model.weights, "logreg weights"), "logreg weights"),
+            _f32(_finite(model.bias, "logreg bias"), "logreg bias"),
         ]
     )
 

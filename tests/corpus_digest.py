@@ -20,9 +20,9 @@ sys.dont_write_bytecode = True  # import perfbench/run.py without writing next t
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from wlcbench.entry import one_blas_thread  # noqa: E402
+from wlcbench.entry import prepare_process  # noqa: E402
 
-one_blas_thread()  # as the wlcbench command runs, before numpy loads
+prepare_process()  # as the wlcbench command runs, before numpy loads
 
 import run as perfbench  # noqa: E402
 from test_acceptance import _run_cli_corpus  # noqa: E402

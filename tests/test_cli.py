@@ -546,11 +546,12 @@ def test_predict_refuses_a_forest_whose_root_links_itself(split_dir, tmp_path, c
 
 
 def test_predict_refuses_a_logreg_model_with_a_nan_bias(split_dir, tmp_path, capsys):
-    bias = np.zeros(10)
-    bias[4] = np.nan
-    model = LogRegModel(weights=np.zeros((10, 10)), bias=bias, config=LogRegConfig())
+    model = LogRegModel(weights=np.zeros((10, 10)), bias=np.zeros(10), config=LogRegConfig())
+    blob = bytearray(model_to_bytes(model))
+    # bias[4]: after 35 header bytes and 10x10 weights (the writer refuses NaN)
+    struct.pack_into("<f", blob, 35 + 4 * 100 + 4 * 4, np.nan)
     path = tmp_path / "nan.wlcm"
-    path.write_bytes(model_to_bytes(model))
+    path.write_bytes(bytes(blob))
     code, out, err = run(
         capsys, "predict", *split_args(split_dir), "--model-file", str(path),
         "--out", str(tmp_path / "pred"),
@@ -800,6 +801,46 @@ def test_a_command_process_runs_one_blas_thread_unless_its_environment_says(
     if setting is not None:
         env["OPENBLAS_NUM_THREADS"] = setting
     assert command_threads(entry, env, tmp_path / "manifest.json") == want
+
+
+@pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
+def test_a_command_process_never_imports_openssl(split_dir, tmp_path, entry):
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps libcrypto.
+    # -v logs each module as it is loaded ("import 'name' # loader"); unlike
+    # -X importtime, it does not log an import that fails.
+    result = subprocess.run(
+        [sys.executable, "-v", *PROCESS_ENTRIES[entry], "train", "--model", "kmeans",
+         *split_args(split_dir), "--out", str(tmp_path / "m.wlcm")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = {
+        line.split("'")[1] for line in result.stderr.splitlines() if line.startswith("import '")
+    }
+    assert "numpy.random" in loaded
+    assert "_hashlib" not in loaded
+    assert result.stdout.count("\n") == 1 and json.loads(result.stdout)["model"] == "kmeans"
+
+
+def test_prepare_process_keeps_set_variables_and_library_imports_change_nothing():
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="2", NUMPY_MADVISE_HUGEPAGE="1")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NUMPY_MADVISE_HUGEPAGE")
+    prepared = subprocess.run(
+        [sys.executable, "-c",
+         "import json, os; from wlcbench.entry import prepare_process; prepare_process(); "
+         f"print(json.dumps([os.environ.get(k) for k in {names!r}]))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(prepared.stdout) == ["2", "1", "1"]
+
+    imported = subprocess.run(
+        [sys.executable, "-c",
+         "import json, os, sys; before = dict(os.environ); import wlcbench.cli; "
+         "print(json.dumps([dict(os.environ) == before, '_hashlib' in sys.modules]))"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(imported.stdout) == [True, False]
 
 
 # --- what each command loads and calls --------------------------------------

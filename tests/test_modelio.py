@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from wlcbench.dataset import N_SIMPLIFIED_CLASSES
 from wlcbench.maskedlr import LogRegConfig, LogRegModel, logreg_fit
 from wlcbench.modelio import (
     KIND_FOREST,
@@ -278,6 +279,26 @@ def test_forest_writer_refuses_a_forest_the_reader_would(forest_model):
     np.testing.assert_array_equal(rf_predict(back, X), rf_predict(fewer, X))
 
 
+@pytest.mark.parametrize(
+    "field, resize",
+    [
+        ("threshold", lambda a: a[:2]),
+        ("left", lambda a: a[:2]),
+        ("right", lambda a: np.append(a, -1)),
+        ("probs", lambda a: a[:2]),
+        ("probs", lambda a: a[:, :9]),
+    ],
+    ids=["2-thresholds", "2-left-links", "4-right-links", "2-probability-rows", "9-classes"],
+)
+def test_tree_arrays_of_another_length_than_its_nodes_are_not_saved(field, resize):
+    # A 3-node tree with 2 thresholds once saved a file the reader misread
+    # as "tree 0 has a leaf with children".
+    tree = hand_tree([0, -1, -1], [1, -1, -1], [2, -1, -1])
+    bad = dataclasses.replace(tree, **{field: resize(getattr(tree, field))})
+    with pytest.raises(ModelIOError, match="tree 0 needs 3 thresholds"):
+        model_to_bytes(ForestModel((bad,), 1, 12, 0))
+
+
 def _poisoned(model, field, value):
     """A copy of model with the first entry of one of its stored float
     arrays set to value; "threshold" and "probs" hit the first tree's root
@@ -292,6 +313,23 @@ def _poisoned(model, field, value):
     arr = getattr(model, field).copy()
     arr.flat[0] = value
     return dataclasses.replace(model, **{field: arr})
+
+
+def _stored_offset(model, field):
+    """Offset in model's file of the float32 entry _poisoned sets. Each
+    file starts with magic, version and kind (7 bytes), then its header:
+    28 bytes for k-means and logreg, 20 for a forest."""
+    if isinstance(model, KMeansModel):
+        return 35 + 1 + model.k  # after the has-map byte and k class bytes
+    if isinstance(model, LogRegModel):
+        return 35 + (0 if field == "weights" else 4 * model.weights.size)
+    tree = model.trees[0]
+    n = tree.n_nodes
+    thresholds = 27 + 4 + 2 * n  # after n_nodes (u32) and the i2 features
+    if field == "threshold":
+        return thresholds
+    leaf = int(np.flatnonzero(tree.feature < 0)[0])
+    return thresholds + 12 * n + 4 * N_SIMPLIFIED_CLASSES * leaf  # past the i4 links
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -309,10 +347,17 @@ def test_non_finite_parameters_rejected(
     kmeans_model, forest_model, logreg_model, which, field, message, value
 ):
     model = {"kmeans": kmeans_model, "forest": forest_model, "logreg": logreg_model}[which][0]
-    blob = model_to_bytes(model)
-    assert model_to_bytes(model_from_bytes(blob)) == blob
+    # the writer refuses to save such a model ...
     with pytest.raises(ModelIOError, match=message):
-        model_from_bytes(model_to_bytes(_poisoned(model, field, value)))
+        model_to_bytes(_poisoned(model, field, value))
+    # ... and the reader refuses such a file, written into a saved one
+    blob = bytearray(model_to_bytes(model))
+    offset = _stored_offset(model, field)
+    struct.pack_into("<f", blob, offset, 0.5)
+    assert bytes(blob) == model_to_bytes(_poisoned(model, field, 0.5))  # the entry's offset
+    struct.pack_into("<f", blob, offset, value)
+    with pytest.raises(ModelIOError, match=message):
+        model_from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize(
