@@ -15,9 +15,11 @@ ways, each only where its environment says nothing else:
   built-in fallbacks (``compare_digest`` is ``_operator._compare_digest``).
   wlcbench hashes nothing and seeds every generator it draws from.
 
-Together they took the peak RSS of ``train --model kmeans`` on eight 32 px
+The last two took the peak RSS of ``train --model kmeans`` on eight 32 px
 scenes from 39.5 to 36.4 MB, and of a logreg ``train`` on 400 32 px
-patches from 47.4 to 42.5 MB. Importing this module, or any other wlcbench
+patches from 47.4 to 42.5 MB (of that, roughly 3.7 MB from OpenSSL and
+1.2 MB from huge pages, a split from separate runs not repeated since).
+Importing this module, or any other wlcbench
 module, leaves the process as it is.
 """
 

@@ -8,7 +8,6 @@ the same JSON. Not a test: pytest does not collect it.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -23,6 +22,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 from wlcbench.entry import prepare_process  # noqa: E402
 
 prepare_process()  # as the wlcbench command runs, before numpy loads
+
+import hashlib  # noqa: E402  (after prepare_process: no _hashlib, as in the command)
 
 import run as perfbench  # noqa: E402
 from test_acceptance import _run_cli_corpus  # noqa: E402

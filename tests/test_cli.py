@@ -823,16 +823,18 @@ def test_a_command_process_never_imports_openssl(split_dir, tmp_path, entry):
 
 
 def test_prepare_process_keeps_set_variables_and_library_imports_change_nothing():
-    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
-    env.update(OPENBLAS_NUM_THREADS="2", NUMPY_MADVISE_HUGEPAGE="1")
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NUMPY_MADVISE_HUGEPAGE")
-    prepared = subprocess.run(
-        [sys.executable, "-c",
-         "import json, os; from wlcbench.entry import prepare_process; prepare_process(); "
-         f"print(json.dumps([os.environ.get(k) for k in {names!r}]))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert json.loads(prepared.stdout) == ["2", "1", "1"]
+    unset = {k: v for k, v in os.environ.items() if k not in names}
+    for given, want in [({}, ["1", "1", "0"]),
+                        ({"OPENBLAS_NUM_THREADS": "2", "NUMPY_MADVISE_HUGEPAGE": "1"},
+                         ["2", "1", "1"])]:
+        prepared = subprocess.run(
+            [sys.executable, "-c",
+             "import json, os; from wlcbench.entry import prepare_process; prepare_process(); "
+             f"print(json.dumps([os.environ.get(k) for k in {names!r}]))"],
+            env={**unset, **given}, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert json.loads(prepared.stdout) == want, given
 
     imported = subprocess.run(
         [sys.executable, "-c",

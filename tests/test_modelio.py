@@ -347,11 +347,13 @@ def test_non_finite_parameters_rejected(
     kmeans_model, forest_model, logreg_model, which, field, message, value
 ):
     model = {"kmeans": kmeans_model, "forest": forest_model, "logreg": logreg_model}[which][0]
+    saved = model_to_bytes(model)
+    assert model_to_bytes(model_from_bytes(saved)) == saved
     # the writer refuses to save such a model ...
     with pytest.raises(ModelIOError, match=message):
         model_to_bytes(_poisoned(model, field, value))
     # ... and the reader refuses such a file, written into a saved one
-    blob = bytearray(model_to_bytes(model))
+    blob = bytearray(saved)
     offset = _stored_offset(model, field)
     struct.pack_into("<f", blob, offset, 0.5)
     assert bytes(blob) == model_to_bytes(_poisoned(model, field, 0.5))  # the entry's offset
