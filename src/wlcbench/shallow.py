@@ -169,7 +169,10 @@ def _squared_norms(X: np.ndarray, center: np.ndarray | None = None) -> np.ndarra
 
 
 def _nearest(
-    X: np.ndarray, centroids: np.ndarray, x2: np.ndarray
+    X: np.ndarray,
+    centroids: np.ndarray,
+    x2: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chunked nearest-centroid search; ties break to the lowest cluster id.
 
@@ -179,11 +182,11 @@ def _nearest(
     doubled copy of X is made. ``x2`` is ``_squared_norms(X)``, which
     ``kmeans_fit`` shares between seedings. Each row's distance is picked
     at its argmin: ``dist.min(axis=1)`` has the same bits but took about
-    7x as long over k = 9 columns.
+    7x as long over k = 9 columns. ``out``, an int32 and a float64 vector
+    of len(X), receives the ids and distances in place of new ones.
     """
     n = X.shape[0]
-    labels = np.empty(n, dtype=np.int32)
-    d2 = np.empty(n, dtype=np.float64)
+    labels, d2 = out or (np.empty(n, dtype=np.int32), np.empty(n))
     c2 = (centroids * centroids).sum(axis=1)
     twice = 2.0 * centroids.T
     for start in range(0, n, _ASSIGN_CHUNK):
@@ -219,24 +222,27 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def _lloyd(X, centroids, max_iter, x2):
     """Lloyd iterations from the given seeding; returns (centroids, inertia, history).
 
-    ``x2`` is ``_squared_norms(X)``. Cluster sums come from one weighted
-    bincount per feature, which adds each cluster's rows in row order, as a
-    sequential loop would.
+    ``x2`` is ``_squared_norms(X)``. Every pass writes its cluster ids
+    and distances into the same two vectors; the last pass's ids sit in a
+    third, and the two id vectors swap after each pass. Cluster sums come
+    from one weighted bincount per feature, which adds each cluster's rows
+    in row order, as a sequential loop would.
     """
-    k = centroids.shape[0]
+    n, k = len(X), centroids.shape[0]
     history: list[float] = []
-    labels = None
+    labels, ids = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    d2 = np.empty(n)
     for _ in range(max_iter):
-        new_labels, d2 = _nearest(X, centroids, x2)
+        _nearest(X, centroids, x2, out=(ids, d2))
         inertia = float(d2.sum())
         if history and inertia > history[-1] * (1.0 + _INERTIA_SLACK) + _INERTIA_SLACK:
             raise AssertionError(
                 f"Lloyd inertia increased: {history[-1]!r} -> {inertia!r}"
             )
         history.append(inertia)
-        if labels is not None and np.array_equal(new_labels, labels):
+        if len(history) > 1 and np.array_equal(ids, labels):
             break
-        labels = new_labels
+        labels, ids = ids, labels
         sums = np.stack(
             [np.bincount(labels, weights=column, minlength=k) for column in X.T], axis=1
         )
@@ -247,12 +253,12 @@ def _lloyd(X, centroids, max_iter, x2):
         centroids[nonzero] = sums[nonzero] / sizes[nonzero, None]
         if empty.any():
             # Standard remedy: relocate each empty cluster to the point
-            # currently farthest from its own centroid.
-            far = d2.copy()
+            # currently farthest from its own centroid. The next pass
+            # rewrites d2, so it is marked in place.
             for cluster in np.flatnonzero(empty):
-                p = int(far.argmax())
+                p = int(d2.argmax())
                 centroids[cluster] = X[p]
-                far[p] = -1.0
+                d2[p] = -1.0
     return centroids, history[-1], tuple(history)
 
 
@@ -426,13 +432,14 @@ def _weighted_gini(left_cnt: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _stable_order(ranks: np.ndarray) -> np.ndarray:
-    """Stable argsort of non-negative int32 ranks.
+    """Stable argsort of non-negative uint16 or int32 ranks.
 
-    numpy sorts 16-bit integers stably with a radix sort, so this sorts by
-    the low 16 bits, then stably by the high 16 bits when any are set.
+    numpy sorts 16-bit integers stably with a radix sort: uint16 ranks are
+    sorted as they are, int32 ranks by their low 16 bits, then stably by
+    the high 16 bits when any are set.
     """
-    order = np.argsort(ranks.astype(np.uint16), kind="stable")
-    if ranks.max() >> 16:
+    order = np.argsort(ranks.astype(np.uint16, copy=False), kind="stable")
+    if ranks.dtype != np.uint16 and ranks.max() >> 16:
         high = (ranks >> 16).astype(np.uint16).take(order)
         order = order.take(np.argsort(high, kind="stable"))
     return order
@@ -464,20 +471,20 @@ def _presorted_split(ranks, labels, weights, counts):
     by_class = np.argsort(labels, axis=1, kind="stable").astype(np.int32)
     class_sorted = labels[0].take(by_class[0])  # the same in every row
     by_class += np.arange(0, m * k, k, dtype=np.int32)[:, None]
-    starts = np.cumsum(counts) - counts
     w = weights.take(by_class)
+    starts = np.cumsum(counts) - counts
     before = np.cumsum(w, axis=1, dtype=np.int32)
     before -= w
     before -= starts.astype(np.int32).take(class_sorted)
     gain = np.add(before, w, dtype=np.int64)
     gain += before
     gain *= w
-    del before
-    rise = np.empty(m * k, dtype=np.int64)
-    rise[by_class] = gain
-    del gain
-    left_sq = np.cumsum(rise.reshape(m, k), axis=1)
-    del rise
+    del before, w
+    left_sq = np.empty(m * k, dtype=np.int64)
+    left_sq[by_class] = gain
+    del gain, by_class
+    left_sq = left_sq.reshape(m, k)
+    np.cumsum(left_sq, axis=1, out=left_sq)
     right_sq = counts.take(labels)
     right_sq *= weights
     np.cumsum(right_sq, axis=1, out=right_sq)
@@ -497,47 +504,51 @@ def _presorted_split(ranks, labels, weights, counts):
     best = proxy.max()
     cand = np.flatnonzero(proxy >= best - best * _PROXY_RTOL)
     if len(cand) > 1:
-        # Left class weights of each candidate: binary search in the rows'
-        # class-sorted positions, keyed (row*11 + class)*k + position (r*k
-        # is in by_class already), then the weights summed up to the match.
+        # Left class weights of each candidate, one drawn feature at a
+        # time: its elements up to its last candidate are binned by (the
+        # first candidate at or after them, class) and the bins summed
+        # over candidates. Sums of whole weights are exact in float64.
         cand_row, cand_pos = np.divmod(cand, k - 1)
-        row = np.arange(m)[:, None]
-        keys = (by_class + k * (N_SIMPLIFIED_CLASSES * row + class_sorted)).ravel()
-        classes = np.arange(1, N_SIMPLIFIED_CLASSES + 1)
-        query = (cand_row[:, None] * len(counts) + classes) * k + cand_pos[:, None]
-        summed = np.zeros(m * k + 1, dtype=np.int64)
-        np.cumsum(w, out=summed[1:])
-        left_cnt = summed.take(np.searchsorted(keys, query, side="right"))
-        left_cnt -= cand_row[:, None] * node_weight + starts[classes]
+        left_cnt = np.empty((len(cand), len(counts)))
+        for r in set(cand_row.tolist()):  # np.unique would import numpy.ma
+            at = np.flatnonzero(cand_row == r)
+            pos = cand_pos[at]
+            upto = int(pos[-1]) + 1
+            key = np.searchsorted(pos, np.arange(upto)) * len(counts)
+            key += labels[r, :upto]
+            binned = np.bincount(key, weights[r, :upto], len(pos) * len(counts))
+            left_cnt[at] = np.cumsum(binned.reshape(len(pos), -1), axis=0)
         total = counts[1:].astype(np.float64)
-        cand = cand[[_weighted_gini(left_cnt.astype(np.float64), total).argmin()]]
+        cand = cand[[_weighted_gini(left_cnt[:, 1:], total).argmin()]]
     return divmod(int(cand[0]), k - 1)
 
 
-def _grow_tree(rows: TrainingRows, ranks, y, boot, max_depth, m_try, rng):
-    """Grow one tree on the bootstrap sample ``boot`` of the training rows.
+def _grow_tree(rows: TrainingRows, ranks, y, max_depth, m_try, rng):
+    """Grow one tree on a bootstrap sample of the training rows, drawn
+    first from ``rng``.
 
     Training row i has class ``y[i]`` and value rank ``ranks[f, i]`` in
-    feature f. The tree holds each drawn row once,
-    weighted by how often ``boot`` drew it: every count is the one the full
-    sample gives, so the tree is the one grown on the full sample. Every
-    feature is sorted once, stably, so each position list below is ordered
-    by (value, row); a split partitions the lists stably, so a node sees
-    the order a stable sort of its own rows gives. Feature f's ranks sit at
-    offset f*k in one flat array of the k distinct rows. An explicit stack
-    visits nodes in pre-order: numbering and generator draws follow the
-    node order, and depth is not bounded by recursion.
+    feature f. The tree holds each drawn row once, weighted by how often
+    the sample drew it: every count is the one the full sample gives, so
+    the tree is the one grown on the full sample. Every feature is sorted
+    once, stably, so each position list below is ordered by (value, row);
+    a split partitions the lists stably, so a node sees the order a stable
+    sort of its own rows gives. Position p stands for training row
+    ``distinct[p]``, so a node reads its drawn features' ranks from the
+    fit's one table at ``f*n + distinct[p]``. An explicit stack visits
+    nodes in pre-order: numbering and generator draws follow the node
+    order, and depth is not bounded by recursion.
     """
-    mult = np.bincount(boot, minlength=len(rows))
+    n = len(rows)
+    mult = np.bincount(rng.integers(0, n, size=n), minlength=n)
     distinct = np.flatnonzero(mult)
     weights = mult.take(distinct).astype(np.int32)
-    ranks = ranks.take(distinct, axis=1)
+    del mult
     labels = y.take(distinct)
-    d, k = ranks.shape
+    d, k = len(ranks), len(distinct)
     orders = np.empty((d, k), dtype=np.int32)
     for f in range(d):
-        orders[f] = _stable_order(ranks[f])
-    ranks = ranks.ravel()
+        orders[f] = _stable_order(ranks[f].take(distinct))
     goes_left = np.zeros(k, dtype=bool)
 
     feature: list[int] = []
@@ -570,7 +581,7 @@ def _grow_tree(rows: TrainingRows, ranks, y, boot, max_depth, m_try, rng):
             drawn = rng.choice(d, size=m_try, replace=False)
             sub = orders[drawn]
             split = _presorted_split(
-                ranks.take(sub + k * drawn[:, None]),
+                ranks.take(distinct.take(sub) + n * drawn[:, None]),
                 labels.take(sub),
                 weights.take(sub),
                 counts,
@@ -595,6 +606,7 @@ def _grow_tree(rows: TrainingRows, ranks, y, boot, max_depth, m_try, rng):
         flat = orders.ravel()
         stack.append((flat[~side].reshape(d, -1), depth + 1, node, right))
         stack.append((flat[side].reshape(d, pos + 1), depth + 1, node, left))
+        del orders, sub, to_left, side, flat  # freed before the children grow
 
     return Tree(
         feature=np.array(feature, dtype=np.int16),
@@ -637,10 +649,11 @@ def rf_fit(
     check_forest_size(n_trees, max_depth)
     rows = training_rows(features, labels)
     y = rows.select(np.asarray(labels).ravel()).astype(np.uint8)
-    # Equal values share a rank, so sorting ranks sorts values; the ranks
-    # fit 32 bits and sort by 16-bit radix passes in every tree.
+    # Equal values share a rank, so sorting ranks sorts values. A rank is
+    # below n, so ranks fit 16 bits up to 65,536 rows; either width sorts
+    # by 16-bit radix passes.
     n, d = len(rows), rows.d
-    ranks = np.empty((d, n), dtype=np.int32)
+    ranks = np.empty((d, n), dtype=np.uint16 if n <= 1 << 16 else np.int32)
     for f in range(d):
         ranks[f] = np.unique(rows.column(f), return_inverse=True)[1]
 
@@ -648,8 +661,7 @@ def rf_fit(
     trees = []
     for stream in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(stream)
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(rows, ranks, y, boot, max_depth, m_try, rng))
+        trees.append(_grow_tree(rows, ranks, y, max_depth, m_try, rng))
     return ForestModel(trees=tuple(trees), max_depth=max_depth, n_features=d, seed=seed)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ def make_patch(
         s1=None if s1 is None else BandStack(np.asarray(s1, dtype=np.float32), ("VV", "VH")),
         hr_labels=None if hr is None else LabelRaster(np.asarray(hr, dtype=np.uint8), Scheme.SIMPLIFIED10),
     )
+
+
+def traced_peak(fn):
+    """(peak, result) of calling fn: the most bytes tracemalloc saw
+    allocated during the call above what it held before, and fn's result."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, result
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import os
 import stat
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from wlcbench.dataset import (
     subsample_manifest,
     write_patch,
 )
-from conftest import make_patch
+from conftest import make_patch, traced_peak
 
 HEADER = struct.Struct("<4sHIIBBBB")
 
@@ -212,17 +211,6 @@ def test_a_container_that_shrinks_after_its_size_check_is_refused(tmp_path, monk
         read_patch(path)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - base
-
-
 @pytest.fixture
 def big_patch(rng):
     h = w = 128
@@ -241,7 +229,7 @@ def test_read_patch_holds_the_container_once(tmp_path, big_patch):
     # the file's bytes and a float32 copy of every plane
     path = tmp_path / "p.wlcb"
     write_patch(big_patch, path)
-    peak = _traced_peak(lambda: read_patch(path))
+    peak, _ = traced_peak(lambda: read_patch(path))
     assert peak <= 1.25 * os.path.getsize(path)
 
 
@@ -249,7 +237,7 @@ def test_write_patch_copies_no_container(tmp_path, big_patch):
     # the header and each array go to the file as they are; only the
     # finiteness masks of the band stacks are allocated
     path = tmp_path / "p.wlcb"
-    peak = _traced_peak(lambda: write_patch(big_patch, path))
+    peak, _ = traced_peak(lambda: write_patch(big_patch, path))
     assert peak <= 0.5 * os.path.getsize(path)
     assert path.read_bytes() == patch_to_bytes(big_patch)
 

@@ -1,13 +1,13 @@
 """Masked cross-entropy, its gradient, the GD loop, and constrained prediction."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import traced_peak
 from logreg_reference import reference_fit, reference_masked_ce_loss
 from wlcbench import maskedlr
 from wlcbench.maskedlr import (
@@ -359,15 +359,9 @@ def test_fit_on_band_rows_holds_a_loss_term_per_row_and_one_block():
     y = rng.integers(1, K + 1, n).astype(np.uint8)
     config = LogRegConfig(epochs=2)
     logreg_fit(BandRows(rows.bands[:100]), y[:100], config=config)  # first-call imports
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        logreg_fit(rows, y, config=config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: logreg_fit(rows, y, config=config))
     block = (ROW_BLOCK + 1) * (8 * d + 2 * 8 * K + 4 * d + 64)
-    assert peak - base <= n * (8 + 1) + block
+    assert peak <= n * (8 + 1) + block
 
 
 def test_fit_scratch_memory_stays_below_its_input():
@@ -375,18 +369,12 @@ def test_fit_scratch_memory_stays_below_its_input():
     X = rng.random((200_000, 10))
     y = rng.integers(1, K + 1, len(X)).astype(np.uint8)
     config = LogRegConfig(epochs=2)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        model = logreg_fit(X, y, config=config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, model = traced_peak(lambda: logreg_fit(X, y, config=config))
     # The fit holds int8 label slots, the int32 shuffled row order while an
     # epoch descends, one float64 loss term per row while it scores, and
     # the rows and logits of a 4096-row block: about a quarter of the input.
     # int64 vectors and 16384-row chunks took about four fifths.
-    assert peak - base < 0.4 * X.nbytes
+    assert peak < 0.4 * X.nbytes
     # several full loss chunks and a tail, summed as in one full-data pass
     assert model.loss_curve == reference_fit(X, y, config).loss_curve
 

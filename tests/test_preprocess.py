@@ -1,13 +1,12 @@
 """Normalization endpoints, band selection, and feature assembly."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_patch
+from conftest import make_patch, traced_peak
 from preprocess_reference import reference_assemble_features
 from wlcbench import preprocess
 from wlcbench.dataset import BandStack, LabelRaster, Patch, Scheme, S2_ALL_BANDS, S2_SURFACE_BANDS
@@ -333,14 +332,8 @@ def test_assembly_scratch_memory_stays_within_a_quarter_of_its_output(n_s2, mode
         lr_labels=LabelRaster(rng.integers(0, 11, (h, w), dtype=np.uint8), Scheme.SIMPLIFIED10),
         s1=BandStack(rng.uniform(-30, 5, (2, h, w)).astype(np.float32), ("VV", "VH")),
     )
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        fm = assemble_features(patch, FusionConfig.from_string(mode))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 1.25 * fm.values.nbytes
+    peak, fm = traced_peak(lambda: assemble_features(patch, FusionConfig.from_string(mode)))
+    assert peak <= 1.25 * fm.values.nbytes
 
 
 def test_with_mask_intersects():

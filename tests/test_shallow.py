@@ -2,9 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import re
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,6 +29,7 @@ from wlcbench.shallow import (
 from wlcbench import shallow
 from wlcbench.shallow import _lloyd, _squared_norms, _stable_order
 import kmeans_reference
+from conftest import traced_peak
 from kmeans_reference import reference_kmeans, reference_lloyd, reference_nearest
 from rf_reference import reference_proba, reference_trees, tree_apply
 
@@ -582,12 +583,32 @@ def test_rf_grows_trees_deeper_than_the_recursion_limit():
 
 
 def test_stable_order_matches_stable_argsort(rng):
-    for high in (5, 1 << 16, 1 << 20, (1 << 31) - 1):
-        ranks = rng.integers(0, high, 5000).astype(np.int32)
+    cases = [(np.uint16, 5), (np.uint16, 1 << 16)]
+    cases += [(np.int32, high) for high in (5, 1 << 16, 1 << 20, (1 << 31) - 1)]
+    for dtype, high in cases:
+        ranks = rng.integers(0, high, 5000).astype(dtype)
         ranks[::7] = ranks[0]  # ties must keep position order
         np.testing.assert_array_equal(
             _stable_order(ranks), np.argsort(ranks, kind="stable")
         )
+
+
+@pytest.mark.parametrize("n, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
+def test_rf_fit_at_the_rank_dtype_boundary_matches_the_reference(n, dtype):
+    # Column 0 holds n distinct values, so its top rank n - 1 is the
+    # largest uint16 at 65,536 rows and has a high bit set one row later;
+    # the bootstrap of seed 1 draws it. Column 1 has four levels, which
+    # decide the classes up to noise.
+    g = np.random.default_rng(n)
+    X = np.column_stack([g.permutation(n).astype(np.float64), g.integers(0, 4, n)])
+    y = (1 + X[:, 1] + (g.random(n) < 0.3)).astype(np.uint8)
+    with mock.patch.object(shallow, "_stable_order", wraps=_stable_order) as order:
+        model = rf_fit(X, y, n_trees=1, max_depth=2, seed=1)
+    sorted_ranks = [c.args[0] for c in order.call_args_list]
+    assert {r.dtype for r in sorted_ranks} == {np.dtype(dtype)}
+    assert max(int(r.max()) for r in sorted_ranks) == n - 1
+    assert model.trees[0].n_nodes > 1
+    assert_matches_reference(model, X, y)
 
 
 # Few levels, so ties are everywhere. -0.0 and 0.0 compare equal; between
@@ -704,22 +725,34 @@ def test_weighted_grower_on_a_bootstrap_of_one_row(n, seed, drawn):
     assert_matches_reference(model, X, y)
 
 
-def test_rf_fit_scratch_memory_stays_within_three_inputs():
-    # 12 columns, as with s1s2 features. The fit holds int32 ranks (half
-    # the input) and, per tree, int32 ranks and sorted orders of the
-    # distinct bootstrap rows; a split adds a few int64 and int32 arrays of
-    # m_try rows each.
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied-columns"])
+def test_rf_fit_on_band_rows_holds_16_bit_ranks_and_one_node_of_scratch(tied):
+    # README: beside its float32 band rows (the input here), a forest fit
+    # holds a uint8 label and uint16 value ranks per row. A tree holds, per
+    # distinct bootstrap row, its int64 row id, int32 weight, uint8 label
+    # and int32 place in each feature's sorted order. The root gathers the
+    # int32 places, uint16 ranks, uint8 labels and int32 weights of its
+    # m_try drawn features, and its split search peaks at three 8-byte and
+    # one 4-byte value per gathered element. With every column the same,
+    # each drawn feature ties for the best cut, and the float re-score
+    # stays within that peak. Int32 ranks and a second rank table per tree
+    # took the peak to 269 B per row, against 166 now; re-scoring from a
+    # class order of all drawn features took the tied case to 194.
     rng = np.random.default_rng(7)
-    X = rng.random((50_000, 12))
-    y = rng.integers(1, 11, len(X)).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        rf_fit(X, y, n_trees=1, max_depth=3, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 3 * X.nbytes
+    n, d = 50_000, 12
+    bands = (rng.random((n, 1 if tied else d)) * 1.2e4).astype(np.float32)
+    rows = BandRows(np.repeat(bands, d, axis=1) if tied else bands)
+    y = rng.integers(1, 11, n).astype(np.uint8)
+    rf_fit(BandRows(rows.bands[:100]), y[:100], n_trees=1, max_depth=3, seed=0)  # first-call imports
+    with mock.patch.object(shallow, "_weighted_gini", wraps=shallow._weighted_gini) as rescore:
+        peak, _ = traced_peak(lambda: rf_fit(rows, y, n_trees=1, max_depth=3, seed=0))
+    assert rescore.called == tied
+    boot = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0]).integers(0, n, n)
+    k = np.count_nonzero(np.bincount(boot))  # the tree's distinct rows
+    m_try = math.ceil(math.sqrt(d))
+    tree = k * (8 + 4 + 1 + 4 * d)
+    root = m_try * k * (4 + 2 + 1 + 4 + 3 * 8 + 4)
+    assert peak <= n * (1 + 2 * d) + tree + root + (1 << 19)
 
 
 def test_kmeans_fit_scratch_memory_stays_within_three_inputs():
@@ -730,38 +763,27 @@ def test_kmeans_fit_scratch_memory_stays_within_three_inputs():
     # the check took the peak to 2.53 inputs.
     rng = np.random.default_rng(7)
     X = rng.random((50_000, 12))
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        kmeans_fit(X, 3, n_init=1, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2.25 * X.nbytes
+    peak, _ = traced_peak(lambda: kmeans_fit(X, 3, n_init=1, seed=0))
+    assert peak < 2.25 * X.nbytes
 
 
 def test_kmeans_fit_on_band_rows_holds_one_float64_copy_and_one_block():
     # README: a k-means fit holds its float32 band rows (the input here) and
     # the one float64 copy the Lloyd passes read, 8 B per value. Per row it
-    # holds the squared norms, and the cluster ids and distances of the last
-    # pass and the running one. One block is a distance block of up to
-    # _ASSIGN_CHUNK rows with its argmin ids, the distances they pick and
-    # those picks' row ids. Holding 2X of the distance formula took 8 B per
-    # value more.
+    # holds the squared norms, the cluster ids of the last pass and the
+    # running one, and the running pass's distances. One block is a
+    # distance block of up to _ASSIGN_CHUNK rows with its argmin ids, the
+    # distances they pick and those picks' row ids. Holding 2X of the
+    # distance formula took 8 B per value more, and the last pass's
+    # distances 8 B per row more.
     rng = np.random.default_rng(7)
     n, d, k = 50_000, 10, 3
     rows = BandRows((rng.random((n, d)) * 1.2e4).astype(np.float32))
     kmeans_fit(BandRows(rows.bands[:100]), k, n_init=1, seed=0)  # first-call imports
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        kmeans_fit(rows, k, n_init=1, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    per_row = 8 + 2 * (4 + 8)
+    peak, _ = traced_peak(lambda: kmeans_fit(rows, k, n_init=1, seed=0))
+    per_row = 8 + 2 * 4 + 8
     block = min(n, shallow._ASSIGN_CHUNK) * (8 * k + 3 * 8)
-    assert peak - base <= n * d * 8 + n * per_row + block + (1 << 18)
+    assert peak <= n * d * 8 + n * per_row + block + (1 << 18)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,6 @@ import os
 import shutil
 import struct
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from wlcbench.shallow import ForestModel, KMeansModel, Tree
 from wlcbench.preprocess import FeatureMatrix, FusionConfig, assemble_features
 from wlcbench.render import render_labels
 
-from conftest import make_patch
+from conftest import make_patch, traced_peak
 from kmeans_reference import reference_kmeans, reference_nearest
 from logreg_reference import reference_fit
 from preprocess_reference import reference_assemble_features
@@ -393,14 +392,9 @@ def sized_splits(tmp_path_factory):
     return d, model
 
 
-def traced_peak(argv) -> int:
+def command_peak(argv) -> int:
     """tracemalloc peak of one in-process command, in bytes."""
-    tracemalloc.start()
-    try:
-        code, _, err = cli(*argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (code, _, err) = traced_peak(lambda: cli(*argv))
     assert code == 0, err
     return peak
 
@@ -419,8 +413,8 @@ def test_peak_memory_does_not_grow_with_the_split(sized_splits, tmp_path, comman
         return [command, *split_args(d, manifest), *extra]
 
     cli(*argv("manifest-8.json", "warm"))
-    small = traced_peak(argv("manifest-8.json", "8"))
-    large = traced_peak(argv("manifest.json", "32"))
+    small = command_peak(argv("manifest-8.json", "8"))
+    large = command_peak(argv("manifest.json", "32"))
     assert large - small < 2 * container, (
         f"{command}: peak {small / container:.1f} -> {large / container:.1f} containers"
     )
@@ -454,8 +448,8 @@ def test_predict_peak_grows_with_the_containers_not_the_feature_rows(scene_sizes
                 "--out", tmp_path / f"p-{run}"]
 
     cli(*argv(64, "warm"))
-    small = traced_peak(argv(64, "small"))
-    large = traced_peak(argv(256, "large"))
+    small = command_peak(argv(64, "small"))
+    large = command_peak(argv(256, "large"))
     growth = os.path.getsize(d / "s256" / "scene-00000.wlcb") - os.path.getsize(
         d / "s64" / "scene-00000.wlcb"
     )
@@ -476,8 +470,8 @@ def test_train_peak_grows_by_about_the_added_feature_rows(sized_splits, tmp_path
                 "--out", tmp_path / f"m-{run}.wlcm"]
 
     cli(*argv("manifest-8.json", "warm"))
-    small = traced_peak(argv("manifest-8.json", "8"))
-    large = traced_peak(argv("manifest.json", "32"))
+    small = command_peak(argv("manifest-8.json", "8"))
+    large = command_peak(argv("manifest.json", "32"))
     added = 24 * 32 * 32 * FusionConfig().d * 8
     assert large - small <= 0.75 * added, f"peak grew by {(large - small) / added:.2f}x"
 
@@ -501,8 +495,8 @@ def test_train_feature_storage_grows_by_at_most_six_tenths_of_the_rows(
                 "--out", tmp_path / f"m-{run}.wlcm"]
 
     cli(*argv("manifest-8.json", "warm"))
-    small = traced_peak(argv("manifest-8.json", "8"))
-    large = traced_peak(argv("manifest.json", "32"))
+    small = command_peak(argv("manifest-8.json", "8"))
+    large = command_peak(argv("manifest.json", "32"))
     added = 24 * 32 * 32 * FusionConfig().d * 8
     assert large - small <= 0.6 * added, f"storage grew by {(large - small) / added:.2f}x"
 
