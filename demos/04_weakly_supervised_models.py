@@ -16,8 +16,9 @@ import numpy as np
 from wlcbench import modelio
 from wlcbench.dataset import LabelRaster, Scheme
 from wlcbench.labels import trainable_mask
-from wlcbench.maskedlr import LogRegConfig, logreg_fit, logreg_predict
+from wlcbench.maskedlr import logreg_fit, logreg_predict
 from wlcbench.metrics import ConfusionMatrix, confusion, lr_vs_hr_eval, report
+from wlcbench.models import LogRegConfig
 from wlcbench.preprocess import FeatureMatrix, FusionConfig, assemble_features
 from wlcbench.shallow import rf_fit, rf_predict
 from wlcbench.synth import default_synth_config, generate_scenes

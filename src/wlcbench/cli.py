@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -44,11 +44,12 @@ from .labels import SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
 from .render import render_labels
 
 if TYPE_CHECKING:
-    from .maskedlr import LogRegConfig
+    from .models import LogRegConfig
     from .preprocess import BandRows, FeatureMatrix, FusionConfig
 
 # The model, feature and scene modules are imported inside the commands that
-# run them, so a command compiles and loads only what it uses.
+# run them, so a command compiles and loads only what it uses: a model
+# command loads the fit code of its own model kind alone.
 
 
 def _on_first_call(module: str, name: str):
@@ -215,32 +216,34 @@ def _check_train_flags(args) -> LogRegConfig | None:
     """Refuse, before any data is read, hyperparameters that the model file
     cannot hold, that the fit would refuse or that would leave an untrained
     model. Returns the logreg config (None for the other models)."""
-    from . import modelio, shallow
-    from .maskedlr import LogRegConfig, LogRegModel
+    from . import modelio
+    from .models import ForestModel, KMeansModel, LogRegConfig, LogRegModel
+
+    if args.model == "logreg":
+        if args.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {args.epochs}")
+        modelio.check_fields(LogRegModel, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+        return LogRegConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    from . import shallow  # its fit code is compiled before any data is read
 
     if args.model == "kmeans":
-        modelio.check_fields(shallow.KMeansModel, seed=args.seed)
+        modelio.check_fields(KMeansModel, seed=args.seed)
         if args.k is not None:
-            modelio.check_fields(shallow.KMeansModel, k=args.k)
+            modelio.check_fields(KMeansModel, k=args.k)
             shallow.check_k(args.k)
         return None
-    if args.model == "rf":
-        modelio.check_fields(
-            shallow.ForestModel, n_trees=args.trees, max_depth=args.depth, seed=args.seed
-        )
-        shallow.check_forest_size(args.trees, args.depth)
-        return None
-    if args.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {args.epochs}")
-    modelio.check_fields(LogRegModel, learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-    return LogRegConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    modelio.check_fields(ForestModel, n_trees=args.trees, max_depth=args.depth, seed=args.seed)
+    shallow.check_forest_size(args.trees, args.depth)
+    return None
 
 
 def cmd_train(args) -> int:
-    from . import modelio, shallow
+    from . import modelio
     from .preprocess import FusionConfig
 
     config = _check_train_flags(args)
+    if args.model != "logreg":
+        from . import shallow  # loaded by the flag check
     fusion = FusionConfig.from_string(args.fusion)
     feats, lab = _band_rows_and_labels(args, fusion)
 
@@ -279,15 +282,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_vector(model, feats: FeatureMatrix, mask_savanna: bool) -> np.ndarray:
+def _predictor(model, mask_savanna: bool) -> Callable[[FeatureMatrix], np.ndarray]:
+    """Class prediction of a block of feature rows under ``model``. A k-means
+    or forest model loads ``shallow`` here, before any patch is read."""
+    from .models import KMeansModel, LogRegModel
+
+    if isinstance(model, LogRegModel):
+        exclude = frozenset({SAVANNA}) if mask_savanna else frozenset()
+        return lambda feats: logreg_predict(model, feats, exclude_classes=exclude)
     from . import shallow
 
-    if isinstance(model, shallow.KMeansModel):
-        return shallow.kmeans_predict(model, feats)
-    if isinstance(model, shallow.ForestModel):
-        return shallow.rf_predict(model, feats)
-    exclude = frozenset({SAVANNA}) if mask_savanna else frozenset()
-    return logreg_predict(model, feats, exclude_classes=exclude)
+    if isinstance(model, KMeansModel):
+        return lambda feats: shallow.kmeans_predict(model, feats)
+    return lambda feats: shallow.rf_predict(model, feats)
 
 
 def cmd_predict(args) -> int:
@@ -297,6 +304,7 @@ def cmd_predict(args) -> int:
     manifest, patches = _load_split(args)
     # the model and its width are checked before any patch is read or written
     model = modelio.load_model(args.model_file)
+    predict = _predictor(model, args.mask_savanna)
     fusion = FusionConfig.from_string(args.fusion)
     check_width(fusion.d, model.d)
     out = Path(args.out)
@@ -308,7 +316,7 @@ def cmd_predict(args) -> int:
         pred = np.empty(patch.height * patch.width, dtype=np.uint8)
         for rows in row_blocks(len(pred)):
             feats = assemble_features(patch, fusion, out=block[: rows.stop - rows.start], rows=rows)
-            pred[rows] = _predict_vector(model, feats, args.mask_savanna)
+            pred[rows] = predict(feats)
         raster = LabelRaster(pred.reshape(patch.height, patch.width), Scheme.SIMPLIFIED10)
         write_patch(dataclasses.replace(patch, lr_labels=raster), out / f"{patch.id}.wlcb")
     # last, so a run that fails partway leaves no manifest to read it by

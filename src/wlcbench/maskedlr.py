@@ -13,13 +13,13 @@ at predict time.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
 from .labels import SAVANNA
+from .models import LogRegConfig, LogRegModel
 from .preprocess import (
     ROW_BLOCK,
     Features,
@@ -31,42 +31,6 @@ from .preprocess import (
     row_blocks,
     training_rows,
 )
-
-
-@dataclass(frozen=True)
-class LogRegConfig:
-    learning_rate: float = 0.1
-    batch_size: int = 4096
-    epochs: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-
-
-@dataclass
-class LogRegModel:
-    weights: np.ndarray      # d×10 float64
-    bias: np.ndarray         # 10 float64
-    config: LogRegConfig
-    loss_curve: tuple[float, ...] = field(default_factory=tuple)
-    holdout_curve: tuple[float, ...] = field(default_factory=tuple)
-    best_epoch: int | None = None
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[0]
 
 
 def _log_softmax(logits: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
@@ -146,22 +110,56 @@ def masked_ce_loss(
     return loss, grad
 
 
+def _streamed_sum(n: int, parts: Iterator[np.ndarray]) -> float:
+    """np.sum of the concatenated float64 vectors ``parts`` (n values in
+    all) bit for bit, taking each part as it arrives. numpy sums pairwise,
+    splitting a run of m > 128 values after m//2 - (m//2) % 8; this walks
+    the same split, hands each run inside the part in hand to np.sum, and
+    gathers a run of at most 128 values that spans parts first. (np.sum
+    starts from 0.0, which turns only a zero sum's -0.0 into 0.0.)"""
+    parts = iter(parts)
+    part, at = np.empty(0), 0  # the part in hand and the index of its first value
+
+    def run(start: int, m: int):
+        nonlocal part, at
+        while start >= at + len(part):
+            at += len(part)
+            part = next(parts)
+        if start + m <= at + len(part):
+            return np.sum(part[start - at : start - at + m])
+        if m > 128:
+            h = m // 2 - m // 2 % 8
+            return run(start, h) + run(start + h, m - h)
+        carry = [part[start - at :]]
+        need = m - len(carry[0])
+        while need > 0:
+            at += len(part)
+            part = next(parts)
+            carry.append(part[:need])
+            need -= len(carry[-1])
+        return np.sum(np.concatenate(carry))
+
+    return float(run(0, n))
+
+
 def _mean_ce(
     rows: TrainingRows, y0: np.ndarray, W: np.ndarray, b: np.ndarray, blocks: _Blocks | None = None
 ) -> float:
     """Mean cross-entropy of the model (W, b) over the training rows, whose
-    0-based label slots are y0, with no gradient. The logits are formed
-    over the row_blocks of ROW_BLOCK rows and each row's term is kept in
-    one vector, which is then summed once: the same values and the same sum
-    as one full-data pass."""
+    0-based label slots are y0, with no gradient. The logits and the rows'
+    terms are formed over the row_blocks of ROW_BLOCK rows, and the terms
+    are summed as each block arrives: the same values and the same sum as
+    one full-data pass, with no vector of n terms."""
     n = len(rows)
     if blocks is None:
         blocks = _Blocks(min(n, ROW_BLOCK + 1), rows.d)
-    terms = np.empty(n)
-    for block in row_blocks(n, ROW_BLOCK):
-        _, logp = blocks.log_probs(rows, block, block.stop - block.start, W, b)
-        terms[block] = _ce_terms(logp, y0[block])
-    return float(-terms.sum() / n)
+
+    def terms():
+        for block in row_blocks(n, ROW_BLOCK):
+            _, logp = blocks.log_probs(rows, block, block.stop - block.start, W, b)
+            yield _ce_terms(logp, y0[block])
+
+    return -_streamed_sum(n, terms()) / n
 
 
 def logreg_fit(
@@ -215,7 +213,7 @@ def logreg_fit(
             grad = _ce_grad(logp, y0[batch])
             W -= config.learning_rate * (Xb.T @ grad)
             b -= config.learning_rate * grad.sum(axis=0)
-        del order, batch  # the loss pass holds its terms, not the row order
+        del order, batch  # not held through the loss pass
         loss = _mean_ce(rows, y0, W, b, blocks)
         if not np.isfinite(loss):
             raise FloatingPointError(
@@ -250,7 +248,7 @@ def _mean_class_accuracy(reference: np.ndarray, prediction: np.ndarray) -> float
     """Mean per-class recall over the classes present in the reference.
     Model-selection signal only; final numbers come from the metrics module."""
     accs = []
-    for cls in np.unique(reference):
+    for cls in np.flatnonzero(np.bincount(reference)):  # np.unique would import numpy.ma
         at = reference == cls
         accs.append(float((prediction[at] == cls).mean()))
     return float(np.mean(accs))

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES, atomic_write
-from .maskedlr import LogRegConfig, LogRegModel
-from .shallow import ForestModel, KMeansModel, Tree
+from .models import ForestModel, KMeansModel, LogRegConfig, LogRegModel, Tree
 
 MODEL_MAGIC = b"WLCM"
 MODEL_FORMAT_VERSION = 1
@@ -128,7 +127,7 @@ def _check_kmeans_classes(k: int, has_map: int, class_of: np.ndarray) -> None:
         raise ModelIOError(
             f"k-means cluster class {outside[0]} is outside 1..{N_SIMPLIFIED_CLASSES}"
         )
-    if len(np.unique(mapped)) < len(mapped):
+    if len(set(mapped.tolist())) < len(mapped):
         raise ModelIOError("k-means class map gives two clusters the same class")
 
 

@@ -10,12 +10,12 @@ and consumed in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import N_SIMPLIFIED_CLASSES
+from .models import ForestModel, KMeansModel, Tree
 from .preprocess import ROW_BLOCK, Features, TrainingRows, feature_rows, row_blocks, training_rows
 
 # Relative slack for the Lloyd monotonicity assertion; covers float64
@@ -128,7 +128,8 @@ def default_k(labels: np.ndarray) -> int:
     """Default cluster count: the number of distinct class ids among the
     labeled (non-zero) pixels of the training reference."""
     labels = np.asarray(labels).ravel()
-    k = len(np.unique(labels[labels != 0]))
+    # with a count output, np.unique does not import numpy.ma
+    k = len(np.unique(labels[labels != 0], return_counts=True)[0])
     if k == 0:
         raise ValueError("no labeled pixels to derive k from")
     return k
@@ -137,25 +138,6 @@ def default_k(labels: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # k-means++ / Lloyd
 # ---------------------------------------------------------------------------
-
-@dataclass
-class KMeansModel:
-    centroids: np.ndarray                     # k×d float64, values in [0, 1]
-    inertia: float
-    cluster_to_class: dict[int, int] | None   # injective cluster -> class id
-    seed: int
-    n_init: int
-    max_iter: int
-    inertia_history: tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centroids.shape[1]
-
 
 def _squared_norms(X: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
     """((X - center) ** 2).sum(axis=1), or (X * X).sum(axis=1) without a
@@ -269,7 +251,7 @@ def _has_distinct_rows(X: np.ndarray, k: int) -> bool:
     usually one small sort instead of a sorted copy of X."""
     m = max(k, _DISTINCT_PREFIX)
     while True:
-        if len(np.unique(X[:m], axis=0)) >= k:
+        if len(np.unique(X[:m], axis=0, return_counts=True)[0]) >= k:
             return True
         if m >= len(X):
             return False
@@ -345,8 +327,8 @@ def kmeans_predict(model: KMeansModel, features: Features) -> np.ndarray:
     for cluster, cls in model.cluster_to_class.items():
         lut[cluster] = cls
         mapped[cluster] = True
-    if not mapped[np.unique(clusters)].all():
-        missing = sorted(set(np.unique(clusters)) - set(model.cluster_to_class))
+    if not mapped[clusters].all():
+        missing = sorted(set(clusters[~mapped[clusters]]))
         raise ValueError(f"clusters {missing} have no class mapping")
     return lut[clusters]
 
@@ -354,48 +336,6 @@ def kmeans_predict(model: KMeansModel, features: Features) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Random forest
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Tree:
-    """Flat binary tree: feature[i] < 0 marks node i as a leaf.
-
-    Nodes are numbered in depth-first pre-order: a node, then its whole left
-    subtree, then its right subtree. An internal node sends a row left when
-    its feature value is <= the threshold.
-    """
-
-    feature: np.ndarray    # int16, -1 for leaves
-    threshold: np.ndarray  # float64, 0 for leaves
-    left: np.ndarray       # int32 child index, -1 for leaves
-    right: np.ndarray      # int32 child index, -1 for leaves
-    probs: np.ndarray      # n_nodes×10 float64, zero rows for internal nodes
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-
-@dataclass(frozen=True)
-class ForestModel:
-    trees: tuple[Tree, ...]
-    max_depth: int
-    n_features: int
-    seed: int
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    @property
-    def d(self) -> int:
-        return self.n_features
-
-    @cached_property
-    def nodes(self) -> NodeTable:
-        """The trees stacked into one table, built on first use. The model
-        is frozen, so the table cannot go stale."""
-        return _stack_trees(self.trees)
-
 
 # Cuts whose Gini proxy lies within this relative distance of the best proxy
 # are re-scored with the float formula that decides the split. Let N be the
@@ -663,53 +603,6 @@ def rf_fit(
         rng = np.random.default_rng(stream)
         trees.append(_grow_tree(rows, ranks, y, max_depth, m_try, rng))
     return ForestModel(trees=tuple(trees), max_depth=max_depth, n_features=d, seed=seed)
-
-
-@dataclass(frozen=True)
-class NodeTable:
-    """Every tree of a forest in one node table, so rows step through all
-    trees at once.
-
-    Tree t's nodes follow those of the trees before it and start at
-    roots[t]. A row at node i moves to child[2*i + 1] (left) when its value
-    of feature[i] is <= threshold[i], else to child[2*i] (right), so a NaN
-    goes right. A leaf has feature 0, threshold +inf and itself as both
-    children: a row that reaches it stays. After ``depth`` steps, the
-    deepest tree's depth, every row is at a leaf.
-    """
-
-    feature: np.ndarray    # intp
-    threshold: np.ndarray  # float64
-    child: np.ndarray      # intp, two slots per node
-    probs: np.ndarray      # n_nodes×10 float64
-    roots: np.ndarray      # intp, one per tree
-    depth: int
-
-
-def _stack_trees(trees: tuple[Tree, ...]) -> NodeTable:
-    sizes = [tree.n_nodes for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
-    offset = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
-    leaf = feature < 0
-    own = np.arange(len(feature))
-    child = np.empty(2 * len(feature), dtype=np.intp)
-    child[1::2] = np.where(leaf, own, np.concatenate([t.left for t in trees]) + offset)
-    child[0::2] = np.where(leaf, own, np.concatenate([t.right for t in trees]) + offset)
-    # Pre-order numbering puts children after their parent, so one pass per
-    # level finds the depth without recursion.
-    depth, level = 0, roots
-    while len(level := level[~leaf[level]]):
-        level = child[2 * level[:, None] + (0, 1)].ravel()
-        depth += 1
-    return NodeTable(
-        feature=np.where(leaf, 0, feature),
-        threshold=np.where(leaf, np.inf, np.concatenate([t.threshold for t in trees])),
-        child=child,
-        probs=np.vstack([tree.probs for tree in trees]),
-        roots=roots,
-        depth=depth,
-    )
 
 
 def rf_predict_proba(model: ForestModel, features: Features) -> np.ndarray:

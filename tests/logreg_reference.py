@@ -10,7 +10,8 @@ same inputs and config.
 
 import numpy as np
 
-from wlcbench.maskedlr import LogRegModel, _argmax_class, _mean_class_accuracy
+from wlcbench.maskedlr import _argmax_class, _mean_class_accuracy
+from wlcbench.models import LogRegModel
 from wlcbench.preprocess import FeatureMatrix, are_class_ids, check_width
 
 K_CLASSES = 10

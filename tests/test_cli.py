@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlcbench import cli, dataset, metrics, modelio, shallow
+from wlcbench import cli, dataset, metrics, modelio, models, shallow
 from wlcbench.cli import main
 from wlcbench.dataset import (
     LabelRaster,
@@ -32,9 +32,8 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import SAVANNA
-from wlcbench.maskedlr import LogRegConfig, LogRegModel
 from wlcbench.modelio import load_model, model_to_bytes
-from wlcbench.shallow import ForestModel, KMeansModel, Tree
+from wlcbench.models import ForestModel, KMeansModel, LogRegConfig, LogRegModel, Tree
 
 from conftest import make_patch
 
@@ -505,13 +504,13 @@ def test_predict_builds_the_forest_node_table_once(
         "--n-scenes", "3", "--seed", "5",
     ]) == 0
     builds = []
-    stack = shallow._stack_trees
+    stack = models._stack_trees
 
     def counted(trees):
         builds.append(trees)
         return stack(trees)
 
-    monkeypatch.setattr(shallow, "_stack_trees", counted)
+    monkeypatch.setattr(models, "_stack_trees", counted)
     code, out, _ = run(
         capsys, "predict", *split_args(d), "--model-file", str(rf_model_file),
         "--out", str(tmp_path / "pred"),
@@ -851,14 +850,19 @@ MODEL_MODULES = {"wlcbench.shallow", "wlcbench.modelio", "wlcbench.maskedlr"}
 
 LOADED_MODULES = (
     "import json, sys\n"
+    "from wlcbench.entry import prepare_process\n"
+    "prepare_process()\n"
     "from wlcbench.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('wlcbench'))]))\n"
+    "print(json.dumps([code, sorted(\n"
+    "    m for m in sys.modules if m.startswith('wlcbench') or m == 'numpy.ma'\n"
+    ")]))\n"
 )
 
 
 def loaded_modules(*argv):
-    """The wlcbench modules a fresh interpreter holds after one command."""
+    """The wlcbench modules, and numpy.ma if loaded, that a fresh
+    interpreter holds after one command, prepared as the command is."""
     result = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *argv],
         capture_output=True,
@@ -877,6 +881,27 @@ def test_scoring_commands_load_no_model_feature_or_scene_module(split_dir, tmp_p
     loaded = loaded_modules(command, *split_args(split_dir), *out)
     assert "wlcbench.cli" in loaded
     assert not loaded & (MODEL_MODULES | {"wlcbench.synth", "wlcbench.preprocess"})
+
+
+@pytest.mark.parametrize("model", ["kmeans", "rf", "logreg"])
+def test_a_model_command_loads_only_its_own_kind_s_fit_module(split_dir, tmp_path, model):
+    model_file = str(tmp_path / "m.wlcm")
+    flags = {"kmeans": [], "rf": ["--trees", "2", "--depth", "3"], "logreg": ["--epochs", "2"]}
+    trained = loaded_modules(
+        "train", *split_args(split_dir), "--model", model, *flags[model], "--out", model_file
+    )
+    predicted = loaded_modules(
+        "predict", *split_args(split_dir), "--model-file", model_file,
+        "--out", str(tmp_path / "pred"),
+    )
+    own, other = "wlcbench.shallow", "wlcbench.maskedlr"
+    if model == "logreg":
+        own, other = other, own
+    for loaded in (trained, predicted):
+        assert {"wlcbench.models", "wlcbench.modelio", own} <= loaded
+        assert other not in loaded
+        if model == "kmeans":  # np.unique without a count output imports it
+            assert "numpy.ma" not in loaded
 
 
 def test_synth_loads_no_model_module(tmp_path):

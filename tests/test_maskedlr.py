@@ -10,13 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import traced_peak
 from logreg_reference import reference_fit, reference_masked_ce_loss
 from wlcbench import maskedlr
-from wlcbench.maskedlr import (
-    LogRegConfig,
-    LogRegModel,
-    logreg_fit,
-    logreg_predict,
-    masked_ce_loss,
-)
+from wlcbench.maskedlr import logreg_fit, logreg_predict, masked_ce_loss
+from wlcbench.models import LogRegConfig, LogRegModel
 from wlcbench.preprocess import ROW_BLOCK, BandRows, FeatureMatrix, training_rows
 
 K = 10
@@ -333,6 +328,34 @@ def test_loss_pass_keeps_a_one_row_tail_in_the_chunk_before_it(chunk):
         assert got == want
 
 
+PAIRWISE_EDGES = [1, 7, 128, 129, 4096, 4097]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3 * ROW_BLOCK + 1),
+    size=st.one_of(st.sampled_from(PAIRWISE_EDGES), st.none(), st.integers(1, 3 * ROW_BLOCK + 1)),
+    scales=st.lists(st.sampled_from([1.0, 1e-300, 1e300]), min_size=1, max_size=3),
+    zeros=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, size=1, scales=[1.0], zeros=0.0, seed=0)
+@example(n=3 * ROW_BLOCK + 1, size=ROW_BLOCK, scales=[1.0], zeros=0.0, seed=0)
+@example(n=257, size=129, scales=[1e-300, 1e300], zeros=1.0, seed=0)
+def test_streamed_sum_is_np_sum_of_the_concatenated_parts_bit_for_bit(n, size, scales, zeros, seed):
+    # size None cuts the values into parts of random sizes
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * rng.choice(scales, n) * 10.0 ** rng.integers(-3, 4, n)
+    hit = rng.random(n) < zeros
+    x[hit] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[hit]
+    if size is None:
+        cuts = np.sort(rng.choice(np.arange(1, n), min(n - 1, int(rng.integers(1, 40))), False))
+    else:
+        cuts = np.arange(size, n, size)
+    got = maskedlr._streamed_sum(n, iter(np.split(x, cuts)))
+    assert np.float64(got).tobytes() == np.sum(x).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 4098, 8192, 8193, 12289])
 def test_loss_pass_over_row_blocks_keeps_the_bits_of_one_full_data_pass(n):
     # _mean_ce forms its logits over preprocess.row_blocks: full blocks of
@@ -347,12 +370,31 @@ def test_loss_pass_over_row_blocks_keeps_the_bits_of_one_full_data_pass(n):
     assert maskedlr._mean_ce(training_rows(X), y - 1, W, b) == want
 
 
-def test_fit_on_band_rows_holds_a_loss_term_per_row_and_one_block():
-    # README: a logreg fit holds its float32 band rows (the input here) and
-    # 8 B per row of loss terms, next to 1 B per row of label slots. One
-    # block is the float64 rows, logits and exponentials of _Blocks, the
-    # gathered float32 bands and the block's per-row temporaries. Holding
-    # the row order twice through the loss pass took 8 B per row more.
+def test_loss_pass_holds_the_terms_of_a_block_not_of_every_row():
+    # The blocks of _Blocks are the caller's. The pass holds the terms of
+    # the block in hand and of the next one, the next one's row positions
+    # and a row-wise vector of its softmax (four 8 B vectors of a block;
+    # the bound spares a fifth), and at most one leaf of 128 values that
+    # spans two blocks. One 8 B term per row peaked at 503 kB here.
+    rng = np.random.default_rng(3)
+    n, d = 50_000, 10
+    rows = training_rows(BandRows((rng.random((n, d)) * 1.2e4).astype(np.float32)))
+    y0 = rng.integers(0, K, n).astype(np.int8)
+    W, b = rng.normal(0, 1, (d, K)), rng.normal(0, 1, K)
+    blocks = maskedlr._Blocks(ROW_BLOCK + 1, d)
+    want = maskedlr._mean_ce(rows, y0, W, b, blocks)
+    peak, got = traced_peak(lambda: maskedlr._mean_ce(rows, y0, W, b, blocks))
+    assert peak <= (ROW_BLOCK + 1) * 5 * 8 + 128 * 8
+    assert got == want
+
+
+def test_fit_on_band_rows_holds_its_row_order_and_one_block():
+    # README: a logreg fit holds its float32 band rows (the input here), 1 B
+    # per row of label slots and, while an epoch descends, the 4 B per row
+    # of its shuffled row order. One block is the float64 rows, logits and
+    # exponentials of _Blocks, the gathered float32 bands and the block's
+    # per-row temporaries. An 8 B loss term per row took 0.9 B per row more
+    # than this bound; holding the row order twice took 8 B per row more.
     rng = np.random.default_rng(7)
     n, d = 50_000, 10
     rows = BandRows((rng.random((n, d)) * 1.2e4).astype(np.float32))
@@ -361,7 +403,7 @@ def test_fit_on_band_rows_holds_a_loss_term_per_row_and_one_block():
     logreg_fit(BandRows(rows.bands[:100]), y[:100], config=config)  # first-call imports
     peak, _ = traced_peak(lambda: logreg_fit(rows, y, config=config))
     block = (ROW_BLOCK + 1) * (8 * d + 2 * 8 * K + 4 * d + 64)
-    assert peak <= n * (8 + 1) + block
+    assert peak <= n * (4 + 1) + block
 
 
 def test_fit_scratch_memory_stays_below_its_input():
@@ -371,9 +413,9 @@ def test_fit_scratch_memory_stays_below_its_input():
     config = LogRegConfig(epochs=2)
     peak, model = traced_peak(lambda: logreg_fit(X, y, config=config))
     # The fit holds int8 label slots, the int32 shuffled row order while an
-    # epoch descends, one float64 loss term per row while it scores, and
-    # the rows and logits of a 4096-row block: about a quarter of the input.
-    # int64 vectors and 16384-row chunks took about four fifths.
+    # epoch descends, and the rows and logits of a 4096-row block: about an
+    # eighth of the input. A float64 loss term per row took about a fifth,
+    # and int64 vectors and 16384-row chunks about four fifths.
     assert peak < 0.4 * X.nbytes
     # several full loss chunks and a tail, summed as in one full-data pass
     assert model.loss_curve == reference_fit(X, y, config).loss_curve

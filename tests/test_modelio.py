@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wlcbench.dataset import N_SIMPLIFIED_CLASSES
-from wlcbench.maskedlr import LogRegConfig, LogRegModel, logreg_fit
+from wlcbench.maskedlr import logreg_fit
 from wlcbench.modelio import (
     KIND_FOREST,
     KIND_KMEANS,
@@ -19,10 +19,8 @@ from wlcbench.modelio import (
     model_to_bytes,
     save_model,
 )
+from wlcbench.models import ForestModel, KMeansModel, LogRegConfig, LogRegModel, Tree
 from wlcbench.shallow import (
-    ForestModel,
-    KMeansModel,
-    Tree,
     align_clusters,
     kmeans_cluster_ids,
     kmeans_fit,

@@ -24,7 +24,8 @@ from wlcbench.preprocess import (
     normalize_s2,
     training_rows,
 )
-from wlcbench.maskedlr import LogRegConfig, logreg_fit
+from wlcbench.maskedlr import logreg_fit
+from wlcbench.models import LogRegConfig
 from wlcbench.shallow import kmeans_fit, rf_fit
 
 

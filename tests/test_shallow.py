@@ -12,10 +12,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from wlcbench.preprocess import BandRows, FeatureMatrix, feature_rows, normalize_bands
+from wlcbench.models import ForestModel, KMeansModel, Tree
 from wlcbench.shallow import (
-    ForestModel,
-    KMeansModel,
-    Tree,
     align_clusters,
     default_k,
     hungarian,

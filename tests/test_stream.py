@@ -31,9 +31,9 @@ from wlcbench.dataset import (
     write_patch,
 )
 from wlcbench.labels import IGBP_TO_SIMPLIFIED, SAVANNA, SIMPLIFIED_CLASS_NAMES, as_simplified
-from wlcbench.maskedlr import LogRegConfig, LogRegModel, logreg_predict
+from wlcbench.maskedlr import logreg_predict
 from wlcbench.modelio import load_model
-from wlcbench.shallow import ForestModel, KMeansModel, Tree
+from wlcbench.models import ForestModel, KMeansModel, LogRegConfig, LogRegModel, Tree
 from wlcbench.preprocess import FeatureMatrix, FusionConfig, assemble_features
 from wlcbench.render import render_labels
 
